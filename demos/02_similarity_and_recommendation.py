@@ -63,7 +63,7 @@ def main() -> None:
                                     method=WITHOUT_LOD).ranked:
             print(f"  {vid}  {score:.4f}")
 
-        matrix = similarity_matrix(index, WITH_LOD, threads=2)
+        matrix = similarity_matrix(index, WITH_LOD)
         tsv = matrix_to_tsv(index, matrix)
         print(f"\nfull matrix is {len(index)}x{len(index)}; first TSV line:")
         print(" ", tsv.splitlines()[0].replace("\t", "  "))

@@ -59,8 +59,6 @@ def _build_parser() -> _Parser:
     def add_config_flags(p):
         p.add_argument("--config", required=True,
                        help="pipeline config file (key = value lines)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for batch scoring")
 
     p_ingest = sub.add_parser("ingest", help="load, filter, and persist the corpus")
     add_config_flags(p_ingest)
@@ -133,8 +131,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_matrix(args) -> int:
     config = _config_from_args(args)
     index = load_index(config)
-    matrix = similarity_matrix(index, method=args.method,
-                               threads=config.threads)
+    matrix = similarity_matrix(index, method=args.method)
     sys.stdout.write(matrix_to_tsv(index, matrix))
     return EXIT_OK
 
@@ -149,12 +146,8 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args, **extra_overrides):
-    config = load_config(args.config)
-    overrides = dict(extra_overrides)
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    return override_config(config, **overrides)
+def _config_from_args(args, **overrides):
+    return override_config(load_config(args.config), **overrides)
 
 
 _COMMANDS = {

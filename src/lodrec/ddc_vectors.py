@@ -110,13 +110,15 @@ def term_frequency(video: EnrichedVideo, fragment: Fragment,
     return _video_fragment_counts(video, vocab.mode)[fragment]
 
 
-def vectorize(video: EnrichedVideo,
-              vocab: FragmentVocabulary) -> DdcVector:
+def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary,
+              fingerprint: str | None = None) -> DdcVector:
     """tf-idf weights for every vocabulary fragment the video contains.
 
     Fragments outside the vocabulary are skipped and counted (this only
     happens when a video was not part of the vocabulary build).
     Fragments occurring in every document get idf 0 and are left out.
+    ``fingerprint`` is ``vocab.fingerprint()``; a caller vectorizing
+    many videos passes it in, so the vocabulary is hashed once.
     """
     weights: dict[int, float] = {}
     unknown = 0
@@ -128,7 +130,7 @@ def vectorize(video: EnrichedVideo,
             continue
         weights[vocab.index[fragment]] = tf * vocab.idf(fragment)
     return DdcVector(video_id=video.video.id, weights=weights,
-                     fingerprint=vocab.fingerprint(),
+                     fingerprint=fingerprint or vocab.fingerprint(),
                      unknown_fragments=unknown)
 
 
@@ -225,10 +227,14 @@ def load_ddc_vectors(path) -> tuple[str, list[DdcVector]]:
                 for cell in cells.split(","):
                     try:
                         dim_s, w_s = cell.split(":")
-                        weights[int(dim_s)] = float(w_s)
+                        dim, weight = int(dim_s), float(w_s)
                     except ValueError:
                         raise ParseError(path, line_no,
                                          f"bad weight cell {cell!r}") from None
+                    if not math.isfinite(weight):
+                        raise ParseError(path, line_no,
+                                         f"non-finite weight {cell!r}")
+                    weights[dim] = weight
             vectors.append(DdcVector(video_id=video_id, weights=weights,
                                      fingerprint=fingerprint))
     return fingerprint, vectors

@@ -218,8 +218,16 @@ def save_doc_vectors(vectors: list[DocVector], path) -> None:
             f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n")
 
 
+def _parse_components(cells: list[str]) -> np.ndarray:
+    """One row per comma-separated cell, parsed by numpy."""
+    return np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None,
+                      ndmin=2)
+
+
 def load_doc_vectors(path) -> list[DocVector]:
-    vectors = []
+    """Read the cache; one numpy call parses all components."""
+    rows: list[tuple[int, str, int, int]] = []
+    cells: list[str] = []
     dim: int | None = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -232,18 +240,37 @@ def load_doc_vectors(path) -> list[DocVector]:
                                  "expected id<TAB>used<TAB>missed<TAB>components")
             try:
                 used, missed = int(fields[1]), int(fields[2])
-                vec = np.array([float(x) for x in fields[3].split(",")],
-                               dtype=np.float64)
             except ValueError:
                 raise ParseError(path, line_no, "malformed cache row") from None
+            if not fields[3].strip():  # numpy would skip the empty row
+                raise ParseError(path, line_no, "malformed cache row")
+            n_components = fields[3].count(",") + 1
             if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
+                dim = n_components
+            elif n_components != dim:
                 raise ParseError(path, line_no,
-                                 f"expected {dim} components, got {len(vec)}")
-            vectors.append(DocVector(video_id=fields[0], vector=vec,
-                                     tokens_used=used, tokens_missed=missed))
-    return vectors
+                                 f"expected {dim} components, got {n_components}")
+            rows.append((line_no, fields[0], used, missed))
+            cells.append(fields[3])
+    if not rows:
+        return []
+    try:
+        matrix = _parse_components(cells)
+    except ValueError:
+        # Name the first line numpy cannot parse on its own.
+        for (line_no, *_), cell in zip(rows, cells):
+            try:
+                _parse_components([cell])
+            except ValueError:
+                raise ParseError(path, line_no, "malformed cache row") from None
+        raise
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError(path, rows[int(np.argmin(finite))][0],
+                         "non-finite vector component")
+    return [DocVector(video_id=vid, vector=vec, tokens_used=used,
+                      tokens_missed=missed)
+            for (_, vid, used, missed), vec in zip(rows, matrix)]
 
 
 __all__ = [

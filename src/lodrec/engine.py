@@ -10,18 +10,44 @@ evidence", not "dissimilar", so it is never coerced to 0.
 Scoring is exhaustive over all candidate pairs.  At the corpus sizes
 this engine targets (low thousands) exactness is cheap and keeps every
 ranking auditable; there is no approximate nearest-neighbor index.
+
+All scores come from one kernel, ``_score_row``, which scores one query
+row against every video of a ``CorpusIndex``.  It reads columnar state
+that the index builds once (``_Columns``):
+
+- the doc vectors as an L2-normalised N x D array, with a mask of the
+  rows that are defined (tokens found, non-zero norm);
+- the fragment vectors L2-normalised, both as CSR rows and as postings
+  (per dimension, the rows that carry it, ascending), with a mask of
+  the videos that have codes;
+- the rank of each id in sorted order, for tie-breaks.
+
+Each cell depends only on its two vectors.  The text cosine is the
+row-wise numpy sum of the products of two unit rows; no BLAS mat-vec is
+used, because its summation order depends on the batch shape.  The
+fragment cosine adds the products of the shared dimensions in ascending
+dimension order.  So a ``similarity_matrix`` row equals the
+``recommend`` scores bit for bit, the matrix is exactly symmetric, and
+``combined_similarity``, the kernel on a two-video index, agrees with
+both.  NaN marks an undefined score inside the kernel only; scores
+leave it as ``None``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ddc_vectors import DdcVector, ddc_similarity
-from .embeddings import DocVector, text_similarity
-from .errors import UnknownIdError
+from .ddc_vectors import DdcVector
+from .embeddings import DocVector
+from .errors import (
+    DimensionMismatchError,
+    DuplicateIdError,
+    UnknownIdError,
+    VocabularyMismatchError,
+)
 
 WITH_LOD = "with_lod"
 WITHOUT_LOD = "without_lod"
@@ -64,16 +90,174 @@ class Recommendation:
 
 
 @dataclass
+class _Columns:
+    """The kernel's arrays, in corpus order (see the module docstring)."""
+
+    position: dict[str, int]
+    id_rank: np.ndarray        # (N,) rank of each id in sorted order
+    unit_text: np.ndarray      # (N, D) unit doc vectors; zero rows if undefined
+    has_text: np.ndarray       # (N,) bool
+    has_codes: np.ndarray      # (N,) bool
+    row_ptr: np.ndarray        # (N + 1,) CSR of the unit fragment vectors
+    row_dim: np.ndarray
+    row_weight: np.ndarray
+    dim_ptr: np.ndarray        # (n_dims + 1,) postings of the same entries
+    post_row: np.ndarray
+    post_weight: np.ndarray
+
+    @classmethod
+    def build(cls, ids: list[str], doc_vectors: dict[str, DocVector],
+              ddc_vectors: dict[str, DdcVector]) -> _Columns:
+        n = len(ids)
+        position = {vid: r for r, vid in enumerate(ids)}
+        if len(position) != n:
+            raise DuplicateIdError("index ids are not unique")
+        for vid in ids:
+            if vid not in doc_vectors:
+                raise UnknownIdError(f"unknown video id: {vid!r}")
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+
+        docs = [doc_vectors[vid] for vid in ids]
+        dims = {d.dim for d in docs}
+        if len(dims) > 1:
+            raise DimensionMismatchError(
+                f"document vectors differ in dimension: {sorted(dims)}")
+        unit_text = (np.stack([d.vector for d in docs], dtype=np.float64)
+                     if docs else np.empty((0, 0)))
+        if not np.isfinite(unit_text).all():
+            raise ValueError("non-finite value in a document vector")
+        norms = np.sqrt((unit_text * unit_text).sum(axis=1))
+        used = np.array([d.tokens_used > 0 for d in docs], dtype=bool)
+        has_text = used & (norms > 0)
+        unit_text[~has_text] = 0.0
+        np.divide(unit_text, norms[:, None], out=unit_text,
+                  where=has_text[:, None])
+
+        fingerprints: set[str] = set()
+        rows: list[int] = []
+        entry_dims: list[int] = []
+        weights: list[float] = []
+        for r, vid in enumerate(ids):
+            v = ddc_vectors.get(vid)
+            if v is None:
+                continue
+            fingerprints.add(v.fingerprint)
+            for d in sorted(v.weights):
+                rows.append(r)
+                entry_dims.append(d)
+                weights.append(v.weights[d])
+        if len(fingerprints) > 1:
+            raise VocabularyMismatchError(
+                "vectors built against different vocabularies")
+        row = np.array(rows, dtype=np.intp)
+        dim = np.array(entry_dims, dtype=np.intp)
+        weight = np.array(weights, dtype=np.float64)
+        if not np.isfinite(weight).all():
+            raise ValueError("non-finite value in a fragment vector")
+        # bincount adds each row's squares in ascending dimension order.
+        norms = np.sqrt(np.bincount(row, weights=weight * weight,
+                                    minlength=n))
+        has_codes = norms > 0
+        keep = has_codes[row]
+        row, dim = row[keep], dim[keep]
+        weight = weight[keep] / norms[row]
+
+        order = np.lexsort((row, dim))
+        n_dims = int(dim.max()) + 1 if len(dim) else 0
+        return cls(
+            position=position, id_rank=id_rank,
+            unit_text=unit_text, has_text=has_text, has_codes=has_codes,
+            row_ptr=_offsets(row, n), row_dim=dim, row_weight=weight,
+            dim_ptr=_offsets(dim, n_dims), post_row=row[order],
+            post_weight=weight[order])
+
+
+def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """Start offsets of each key's run in ``keys`` sorted ascending."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+
+
+@dataclass
 class CorpusIndex:
-    """Immutable scoring state: per-video vectors in corpus order."""
+    """Immutable scoring state: per-video vectors in corpus order.
+
+    The kernel's columnar arrays are built once, at construction; an
+    index is not to be changed afterwards.
+    """
 
     ids: list[str]
     doc_vectors: dict[str, DocVector]
     ddc_vectors: dict[str, DdcVector]
     weights: tuple[float, float] = DEFAULT_WEIGHTS
+    columns: _Columns = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.columns = _Columns.build(self.ids, self.doc_vectors,
+                                      self.ddc_vectors)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def position(self, video_id: str) -> int:
+        try:
+            return self.columns.position[video_id]
+        except KeyError:
+            raise UnknownIdError(f"unknown video id: {video_id!r}") from None
+
+
+def _check_weights(weights: tuple[float, float]) -> tuple[float, float]:
+    w_text, w_ddc = weights
+    if not (math.isfinite(w_text) and math.isfinite(w_ddc)) \
+            or w_text < 0 or w_ddc < 0 or w_text + w_ddc <= 0:
+        raise ValueError(
+            "weights must be finite and non-negative with positive sum")
+    return w_text, w_ddc
+
+
+def _score_row(cols: _Columns, q: int, weights: tuple[float, float]):
+    """Scores of row ``q`` against every row: ``s_text``, ``s_ddc``,
+    ``s_lod`` (NaN where undefined) and ``fallback`` (bool), as arrays.
+
+    Fallback rule: if exactly one branch is undefined the combined score
+    equals the defined branch; if both are undefined it is undefined.
+    """
+    w_text, w_ddc = _check_weights(weights)
+    n = len(cols.has_text)
+    s_text = np.full(n, np.nan)
+    if cols.has_text[q]:
+        dots = (cols.unit_text * cols.unit_text[q]).sum(axis=1)
+        np.copyto(s_text, dots, where=cols.has_text)
+
+    s_ddc = np.full(n, np.nan)
+    if cols.has_codes[q]:
+        lo, hi = cols.row_ptr[q], cols.row_ptr[q + 1]
+        q_dims, q_weights = cols.row_dim[lo:hi], cols.row_weight[lo:hi]
+        starts = cols.dim_ptr[q_dims]
+        counts = cols.dim_ptr[q_dims + 1] - starts
+        # Positions of all postings of the query's dimensions, dimension
+        # by dimension; bincount adds them to each row in that order.
+        take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+                + np.arange(counts.sum()))
+        dots = np.bincount(cols.post_row[take],
+                           weights=cols.post_weight[take]
+                           * np.repeat(q_weights, counts), minlength=n)
+        np.copyto(s_ddc, dots, where=cols.has_codes)
+
+    text_ok, ddc_ok = ~np.isnan(s_text), ~np.isnan(s_ddc)
+    combined = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
+    s_lod = np.where(text_ok & ddc_ok, combined,
+                     np.where(text_ok, s_text, s_ddc))
+    return s_text, s_ddc, s_lod, text_ok ^ ddc_ok
+
+
+def _method_scores(index: CorpusIndex, q: int, method: str) -> np.ndarray:
+    s_text, _, s_lod, _ = _score_row(index.columns, q, index.weights)
+    return s_lod if method == WITH_LOD else s_text
+
+
+def _value(x) -> float | None:
+    return None if math.isnan(x) else float(x)
 
 
 def combined_similarity(i: str, j: str,
@@ -83,39 +267,22 @@ def combined_similarity(i: str, j: str,
                         ) -> SimilarityScore:
     """Score one pair: both branches plus their combination.
 
-    Fallback rule: if exactly one branch is undefined the combined score
-    equals the defined branch; if both are undefined it is undefined.
+    This is the scoring kernel run on an index of the two videos, so it
+    gives the very bits that ``recommend`` and ``similarity_matrix`` do.
     """
     for vid in (i, j):
         if vid not in doc_vectors:
             raise UnknownIdError(f"unknown video id: {vid!r}")
-    w_text, w_ddc = weights
-    if w_text < 0 or w_ddc < 0 or w_text + w_ddc <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-
-    s_text = text_similarity(doc_vectors[i], doc_vectors[j])
-    if i in ddc_vectors and j in ddc_vectors:
-        s_ddc = ddc_similarity(ddc_vectors[i], ddc_vectors[j])
-    else:
-        s_ddc = None
-
-    fallback = False
-    if s_text is not None and s_ddc is not None:
-        s_lod = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
-    elif s_text is not None:
-        s_lod, fallback = s_text, True
-    elif s_ddc is not None:
-        s_lod, fallback = s_ddc, True
-    else:
-        s_lod = None
-    return SimilarityScore(pair=(i, j), s_text=s_text, s_ddc=s_ddc,
-                           s_lod=s_lod, fallback_applied=fallback)
-
-
-def _rank_key(item: tuple[str, float | None]):
-    vid, score = item
-    # Defined scores first (descending), undefined last; ties by id.
-    return (score is None, -(score if score is not None else 0.0), vid)
+    ids = [i] if i == j else [i, j]
+    pair = CorpusIndex(
+        ids=ids, doc_vectors={vid: doc_vectors[vid] for vid in ids},
+        ddc_vectors={vid: ddc_vectors[vid] for vid in ids
+                     if vid in ddc_vectors})
+    s_text, s_ddc, s_lod, fallback = _score_row(pair.columns, 0, weights)
+    c = len(ids) - 1
+    return SimilarityScore(pair=(i, j), s_text=_value(s_text[c]),
+                           s_ddc=_value(s_ddc[c]), s_lod=_value(s_lod[c]),
+                           fallback_applied=bool(fallback[c]))
 
 
 def recommend(query_id: str, index: CorpusIndex, k: int,
@@ -127,62 +294,43 @@ def recommend(query_id: str, index: CorpusIndex, k: int,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    if query_id not in index.doc_vectors:
-        raise UnknownIdError(f"unknown video id: {query_id!r}")
+    q = index.position(query_id)
     n_candidates = len(index.ids) - 1
     if not 1 <= k <= n_candidates:
         raise ValueError(f"k={k} out of range 1..{n_candidates}")
 
-    scored = []
-    for other in index.ids:
-        if other == query_id:
-            continue
-        s = combined_similarity(query_id, other, index.doc_vectors,
-                                index.ddc_vectors, index.weights)
-        scored.append((other, s.for_method(method)))
-    scored.sort(key=_rank_key)
-    return Recommendation(query_id=query_id, ranked=scored[:k],
+    scores = _method_scores(index, q, method)
+    undefined = np.isnan(scores)
+    order = np.lexsort((index.columns.id_rank,
+                        np.where(undefined, 0.0, -scores), undefined))
+    order = order[order != q][:k]
+    ranked = [(index.ids[c], _value(scores[c])) for c in order.tolist()]
+    return Recommendation(query_id=query_id, ranked=ranked,
                           method=method, k=k)
 
 
-def similarity_matrix(index: CorpusIndex, method: str = WITH_LOD,
-                      threads: int = 1) -> np.ndarray:
+def similarity_matrix(index: CorpusIndex,
+                      method: str = WITH_LOD) -> np.ndarray:
     """Dense pairwise score matrix; NaN marks undefined cells.
 
-    Symmetric by construction (each unordered pair scored once and
-    mirrored); rows can be computed in parallel.
+    Row ``r`` is the kernel's answer for query ``r``, so each row equals
+    the ``recommend`` scores and the matrix is exactly symmetric.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    ids = index.ids
-    n = len(ids)
-    matrix = np.full((n, n), np.nan)
-
-    def fill_row(r: int) -> None:
-        for c in range(r, n):
-            s = combined_similarity(ids[r], ids[c], index.doc_vectors,
-                                    index.ddc_vectors, index.weights)
-            value = s.for_method(method)
-            if value is not None:
-                matrix[r, c] = value
-                matrix[c, r] = value
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for r in range(n):
-            fill_row(r)
+    n = len(index.ids)
+    matrix = np.empty((n, n))
+    for r in range(n):
+        matrix[r] = _method_scores(index, r, method)
     return matrix
 
 
 def matrix_to_tsv(index: CorpusIndex, matrix: np.ndarray) -> str:
     """TSV with id header row and column; undefined cells empty."""
     lines = ["\t" + "\t".join(index.ids)]
-    for r, vid in enumerate(index.ids):
-        cells = ["" if np.isnan(matrix[r, c]) else repr(float(matrix[r, c]))
-                 for c in range(len(index.ids))]
-        lines.append(vid + "\t" + "\t".join(cells))
+    for vid, row in zip(index.ids, matrix):
+        lines.append(vid + "\t" + "\t".join(
+            "" if x != x else repr(x) for x in row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -17,8 +17,8 @@ vocabulary they were built against.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import ddc
@@ -66,12 +66,13 @@ class PipelineConfig:
     k: int = 10
     limit_embeddings: int | None = None
     stoplist_path: Path | None = None
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def validate(self) -> None:
-        if self.w_text < 0 or self.w_ddc < 0 or self.w_text + self.w_ddc <= 0:
+        if not (math.isfinite(self.w_text) and math.isfinite(self.w_ddc)) \
+                or self.w_text < 0 or self.w_ddc < 0 \
+                or self.w_text + self.w_ddc <= 0:
             raise ConfigError(
-                "weights must be non-negative with a positive sum")
+                "weights must be finite and non-negative with a positive sum")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.fragmentation_mode not in ddc.MODES:
@@ -79,8 +80,6 @@ class PipelineConfig:
                 f"fragmentation_mode must be one of {', '.join(ddc.MODES)}")
         if self.corpus_format not in ("jsonl", "ntriples"):
             raise ConfigError("corpus_format must be jsonl or ntriples")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     @property
     def weights(self) -> tuple[float, float]:
@@ -118,7 +117,7 @@ def load_config(path) -> PipelineConfig:
             kwargs[key] = (base / value).resolve() if value else None
         elif key in ("w_text", "w_ddc"):
             kwargs[key] = float(value)
-        elif key in ("k", "threads", "limit_embeddings"):
+        elif key in ("k", "limit_embeddings"):
             kwargs[key] = int(value)
         elif key in ("language", "fragmentation_mode", "corpus_format"):
             kwargs[key] = value
@@ -168,7 +167,8 @@ def run_index(config: PipelineConfig) -> dict:
     enriched = enrich(corpus, snapshot)
 
     vocab = build_vocabulary(enriched, mode=config.fragmentation_mode)
-    ddc_vectors = [vectorize(v, vocab) for v in enriched]
+    fingerprint = vocab.fingerprint()
+    ddc_vectors = [vectorize(v, vocab, fingerprint) for v in enriched]
 
     table = load_embeddings(config.embeddings_path,
                             limit=config.limit_embeddings)
@@ -178,7 +178,7 @@ def run_index(config: PipelineConfig) -> dict:
 
     config.index_dir.mkdir(parents=True, exist_ok=True)
     save_vocabulary(vocab, config.index_dir / VOCABULARY_FILE)
-    save_ddc_vectors(ddc_vectors, vocab.fingerprint(),
+    save_ddc_vectors(ddc_vectors, fingerprint,
                      config.index_dir / DDC_VECTORS_FILE)
     save_doc_vectors(doc_vectors, config.index_dir / DOC_VECTORS_FILE)
 
@@ -187,7 +187,7 @@ def run_index(config: PipelineConfig) -> dict:
     return {
         "videos": len(corpus),
         "vocabulary_size": len(vocab),
-        "fingerprint": vocab.fingerprint(),
+        "fingerprint": fingerprint,
         "resolved_tags": resolved,
         "unresolved_tags": unresolved,
         "videos_without_codes": sum(1 for v in ddc_vectors if not v.weights),
@@ -197,8 +197,23 @@ def run_index(config: PipelineConfig) -> dict:
     }
 
 
+def _check_ids(expected: list[str], path: Path, found: list[str]) -> None:
+    """Reject a vector file whose ids are not the corpus ids in order."""
+    if found == expected:
+        return
+    at = next((n for n, (a, b) in enumerate(zip(expected, found)) if a != b),
+              min(len(expected), len(found)))
+    want = repr(expected[at]) if at < len(expected) else "none"
+    got = repr(found[at]) if at < len(found) else "none"
+    raise LodrecError(
+        f"{path}: ids differ from {CORPUS_FILE} at position {at + 1}: "
+        f"{CORPUS_FILE} has {want}, this file has {got}; the index is "
+        "stale, run index again")
+
+
 def load_index(config: PipelineConfig) -> CorpusIndex:
-    """Load artifacts back into a scoring index, checking fingerprints."""
+    """Load artifacts back into a scoring index, checking fingerprints
+    and that the vector files hold the corpus ids in corpus order."""
     corpus = _load_normalized_corpus(config)
     vocab_file = config.index_dir / VOCABULARY_FILE
     if not vocab_file.exists():
@@ -213,8 +228,13 @@ def load_index(config: PipelineConfig) -> CorpusIndex:
             f"vocabulary file fingerprint {vocab_fp}; artifacts are from "
             "different runs")
     doc_vectors = load_doc_vectors(config.index_dir / DOC_VECTORS_FILE)
+    ids = corpus.ids()
+    _check_ids(ids, config.index_dir / DOC_VECTORS_FILE,
+               [v.video_id for v in doc_vectors])
+    _check_ids(ids, config.index_dir / DDC_VECTORS_FILE,
+               [v.video_id for v in ddc_vectors])
     return CorpusIndex(
-        ids=corpus.ids(),
+        ids=ids,
         doc_vectors={v.video_id: v for v in doc_vectors},
         ddc_vectors={v.video_id: v for v in ddc_vectors},
         weights=config.weights,

@@ -63,7 +63,6 @@ def write_toy_config(tmp_path: Path, **overrides) -> Path:
         "index_dir": "index",
         "language": "de",
         "k": "3",
-        "threads": "1",
     }
     values.update(overrides)
     lines = ["# generated by the test suite"]

@@ -292,3 +292,11 @@ class TestSerialization:
         out.write_text("#fingerprint\tabc\nv1\t0:x\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
             load_ddc_vectors(out)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_line(self, tmp_path, weight):
+        out = tmp_path / "vectors.tsv"
+        out.write_text(f"#fingerprint\tabc\nv1\t0:1.0\nv2\t0:1.0,3:{weight}\n",
+                       encoding="utf-8")
+        with pytest.raises(ParseError, match=r"vectors\.tsv:3: non-finite"):
+            load_ddc_vectors(out)

@@ -265,3 +265,40 @@ class TestDocVectorCache:
                        encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
             load_doc_vectors(out)
+
+    def test_round_trip_is_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(59)
+        bits = rng.integers(0, 2**63, size=(40, 7), dtype=np.int64)
+        values = bits.view(np.float64)  # every sign, exponent and mantissa
+        values[~np.isfinite(values)] = 1.0
+        values[0, :4] = [5e-324, -0.0, 1.7976931348623157e308, 0.1]
+        docs = [DocVector(f"v{r}", row.copy(), 1, 0)
+                for r, row in enumerate(values)]
+        out = tmp_path / "docs.tsv"
+        save_doc_vectors(docs, out)
+        reloaded = load_doc_vectors(out)
+        assert [d.video_id for d in reloaded] == [d.video_id for d in docs]
+        got = np.stack([d.vector for d in reloaded])
+        assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_line(self, tmp_path, cell):
+        out = tmp_path / "docs.tsv"
+        out.write_text(f"v1\t1\t0\t1.0,2.0\n\nv2\t1\t0\t{cell},2.0\n",
+                       encoding="utf-8")
+        with pytest.raises(ParseError, match=r"docs\.tsv:3: non-finite"):
+            load_doc_vectors(out)
+
+    def test_non_numeric_component_names_line(self, tmp_path):
+        out = tmp_path / "docs.tsv"
+        out.write_text("v1\t1\t0\t1.0,2.0\nv2\t1\t0\t1.0,x\n",
+                       encoding="utf-8")
+        with pytest.raises(ParseError, match=r":2:"):
+            load_doc_vectors(out)
+
+    def test_dimension_change_names_line(self, tmp_path):
+        out = tmp_path / "docs.tsv"
+        out.write_text("v1\t1\t0\t1.0,2.0\nv2\t1\t0\t1.0\n",
+                       encoding="utf-8")
+        with pytest.raises(ParseError, match=r":2: expected 2 components"):
+            load_doc_vectors(out)

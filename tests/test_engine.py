@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -14,9 +15,11 @@ from lodrec import (
     DocVector,
     UnknownIdError,
     combined_similarity,
+    ddc_similarity,
     matrix_to_tsv,
     recommend,
     similarity_matrix,
+    text_similarity,
 )
 
 from conftest import hierarchy_index, random_micro_index
@@ -118,6 +121,68 @@ class TestCombinedSimilarity:
         with pytest.raises(ValueError):
             combined_similarity("i", "j", docs, {}, weights=weights)
 
+    def test_mixed_vocabularies_rejected(self):
+        from lodrec import VocabularyMismatchError
+        docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
+        ddc = {"i": _sparse("i", {0: 1.0}), "j": _sparse("j", {0: 1.0})}
+        ddc["j"].fingerprint = "other"
+        with pytest.raises(VocabularyMismatchError):
+            combined_similarity("i", "j", docs, ddc)
+
+    def test_dimension_mismatch_rejected(self):
+        from lodrec import DimensionMismatchError
+        docs = {"i": DocVector("i", np.ones(2), 1, 0),
+                "j": DocVector("j", np.ones(3), 1, 0)}
+        with pytest.raises(DimensionMismatchError):
+            combined_similarity("i", "j", docs, {})
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf)])
+    def test_non_finite_weights_rejected(self, weights):
+        # A NaN weight made every score NaN and the ranking arbitrary.
+        docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            combined_similarity("i", "j", docs, {}, weights=weights)
+        base = hierarchy_index()
+        index = CorpusIndex(ids=base.ids, doc_vectors=base.doc_vectors,
+                            ddc_vectors=base.ddc_vectors, weights=weights)
+        with pytest.raises(ValueError, match="finite"):
+            recommend("a1", index, k=3)
+        with pytest.raises(ValueError, match="finite"):
+            similarity_matrix(index)
+
+
+class TestKernel:
+    def test_routes_match_scalar_oracles(self):
+        """Each route of the kernel agrees with the scalar ``fsum`` cosine
+        within 1e-10, on acceptance 4's 100 random micro-corpora."""
+        rng = random.Random(103)
+        for _ in range(100):
+            index = random_micro_index(rng)
+            for i in index.ids:
+                for j in index.ids:
+                    s = combined_similarity(i, j, index.doc_vectors,
+                                            index.ddc_vectors, index.weights)
+                    for got, ref in (
+                            (s.s_text, text_similarity(index.doc_vectors[i],
+                                                       index.doc_vectors[j])),
+                            (s.s_ddc, ddc_similarity(index.ddc_vectors[i],
+                                                     index.ddc_vectors[j]))):
+                        if ref is None:
+                            assert got is None
+                        else:
+                            assert abs(got - ref) <= 1e-10
+            # the draws acceptance 4 makes, so the next corpus is the same
+            rng.choice(index.ids)
+            rng.randint(1, len(index) - 1)
+
+    def test_index_rejects_non_finite_vectors(self):
+        base = hierarchy_index()
+        docs = dict(base.doc_vectors)
+        docs["a2"] = DocVector("a2", np.array([1.0, np.nan, 0.0, 0.0]), 1, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            CorpusIndex(ids=base.ids, doc_vectors=docs,
+                        ddc_vectors=base.ddc_vectors)
+
 
 def _sparse(vid, weights):
     from lodrec import DdcVector
@@ -125,15 +190,19 @@ def _sparse(vid, weights):
 
 
 def _with_ghost(index: CorpusIndex) -> CorpusIndex:
-    """Append a video with neither text nor fragment evidence."""
+    """A new index: ``index`` plus a video with neither text nor fragment
+    evidence (an index is immutable once built)."""
     from lodrec import DdcVector
     fp = next(iter(index.ddc_vectors.values())).fingerprint
     dim = next(iter(index.doc_vectors.values())).vector.shape[0]
-    index.ids.append("ghost")
-    index.doc_vectors["ghost"] = DocVector("ghost", np.zeros(dim), 0, 2)
-    index.ddc_vectors["ghost"] = DdcVector(video_id="ghost", weights={},
-                                           fingerprint=fp)
-    return index
+    return CorpusIndex(
+        ids=index.ids + ["ghost"],
+        doc_vectors={**index.doc_vectors,
+                     "ghost": DocVector("ghost", np.zeros(dim), 0, 2)},
+        ddc_vectors={**index.ddc_vectors,
+                     "ghost": DdcVector(video_id="ghost", weights={},
+                                        fingerprint=fp)},
+        weights=index.weights)
 
 
 class TestRecommend:
@@ -242,11 +311,34 @@ class TestSimilarityMatrix:
         assert np.all(np.isnan(matrix[-1]))
         assert np.all(np.isnan(matrix[:, -1]))
 
-    def test_threads_do_not_change_bits(self):
-        index = random_micro_index(random.Random(79))
-        single = similarity_matrix(index, threads=1)
-        threaded = similarity_matrix(index, threads=4)
-        assert np.array_equal(single, threaded, equal_nan=True)
+    def test_symmetric_and_equal_to_recommend(self):
+        rng = random.Random(83)
+        for _ in range(20):
+            index = _with_ghost(random_micro_index(rng))
+            for method in (WITH_LOD, WITHOUT_LOD):
+                matrix = similarity_matrix(index, method)
+                assert np.array_equal(matrix, matrix.T, equal_nan=True)
+                for r, query in enumerate(index.ids):
+                    rec = recommend(query, index, len(index) - 1, method)
+                    for vid, score in rec.ranked:
+                        cell = matrix[r, index.ids.index(vid)]
+                        if score is None:
+                            assert np.isnan(cell)
+                        else:
+                            assert score == cell
+            assert np.all(np.isnan(matrix[-1]))
+
+    def test_tsv_is_the_cell_by_cell_format(self):
+        """Pins the output of the former cell-by-cell writer, byte for byte."""
+        index = _with_ghost(random_micro_index(random.Random(89)))
+        matrix = similarity_matrix(index)
+        lines = ["\t" + "\t".join(index.ids)]
+        for r, vid in enumerate(index.ids):
+            cells = ["" if np.isnan(matrix[r, c])
+                     else repr(float(matrix[r, c]))
+                     for c in range(len(index.ids))]
+            lines.append(vid + "\t" + "\t".join(cells))
+        assert matrix_to_tsv(index, matrix) == "\n".join(lines) + "\n"
 
     def test_tsv_export(self):
         index = _with_ghost(hierarchy_index())

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from lodrec import (
     ConfigError,
+    FragmentVocabulary,
     LodrecError,
+    ParseError,
     VocabularyMismatchError,
     load_config,
     load_index,
@@ -85,7 +88,8 @@ class TestLoadConfig:
         ("k", "0", "k must"),
         ("fragmentation_mode", "strip_all", "fragmentation_mode"),
         ("corpus_format", "xml", "corpus_format"),
-        ("threads", "0", "threads"),
+        ("w_text", "nan", "finite"),
+        ("w_ddc", "inf", "finite"),
     ])
     def test_invalid_values(self, tmp_path, key, value, message):
         path = write_config(tmp_path, **{key: value})
@@ -110,14 +114,14 @@ class TestOverrideConfig:
     def test_flags_win(self, tmp_path):
         config = load_config(write_config(tmp_path))
         updated = override_config(config, fragmentation_mode="zero_preserving",
-                                  threads=4)
+                                  k=4)
         assert updated.fragmentation_mode == "zero_preserving"
-        assert updated.threads == 4
+        assert updated.k == 4
         assert config.fragmentation_mode == "zero_stripping"  # original kept
 
     def test_none_means_keep(self, tmp_path):
         config = load_config(write_config(tmp_path))
-        updated = override_config(config, k=None, threads=None)
+        updated = override_config(config, k=None, limit_embeddings=None)
         assert updated == config
 
     def test_override_is_validated(self, tmp_path):
@@ -170,6 +174,17 @@ class TestIngestAndIndex:
         second = {name: md5(config.index_dir / name) for name in ARTIFACTS}
         assert first == second
 
+    def test_vocabulary_hashed_once_per_build(self, config, monkeypatch):
+        calls = []
+        original = FragmentVocabulary.fingerprint
+        monkeypatch.setattr(FragmentVocabulary, "fingerprint",
+                            lambda self: calls.append(1) or original(self))
+        run_ingest(config)
+        summary = run_index(config)
+        assert len(calls) == 1
+        assert summary["fingerprint"] == \
+            (config.index_dir / DDC_VECTORS_FILE).read_text().split()[1]
+
     def test_mode_changes_fingerprint(self, tmp_path):
         config = load_config(write_config(tmp_path))
         run_ingest(config)
@@ -206,6 +221,53 @@ class TestLoadIndex:
         lines = vocab_file.read_text().splitlines()
         vocab_file.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(VocabularyMismatchError, match="fingerprint"):
+            load_index(built)
+
+    def test_reingested_corpus_rejected(self, tmp_path, toy_run):
+        # A video added and ingested after `index` used to load, and then
+        # `recommend` raised UnknownIdError for the candidate 'vNEW'.
+        config = load_config(write_config(
+            tmp_path, corpus_path=str(toy_run / "corpus.jsonl")))
+        run_ingest(config)
+        run_index(config)
+        with open(toy_run / "corpus.jsonl", "a", encoding="utf-8") as f:
+            f.write(json.dumps({"id": "vNEW", "language": "de",
+                                "title": "Neue Vorlesung", "abstract": "",
+                                "tags": []}) + "\n")
+        run_ingest(config)
+        with pytest.raises(LodrecError,
+                           match=r"doc_vectors\.tsv: .*'vNEW'.*none"):
+            load_index(config)
+
+    def test_vector_rows_out_of_order_rejected(self, built):
+        path = built.index_dir / DDC_VECTORS_FILE
+        header, first, second, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, second, first, *rest]) + "\n")
+        with pytest.raises(LodrecError,
+                           match=r"ddc_vectors\.tsv: .*position 1.*'v001'"):
+            load_index(built)
+
+    def test_non_finite_doc_vector_rejected(self, built):
+        # One NaN cell in v002's row made every score of v002 NaN.
+        path = built.index_dir / DOC_VECTORS_FILE
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("v002\t")
+        head, _, cells = lines[1].rpartition("\t")
+        lines[1] = head + "\t" + ",".join(["nan"] + cells.split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match=r"doc_vectors\.tsv:2: non-finite"):
+            load_index(built)
+
+    def test_non_finite_fragment_weight_rejected(self, built):
+        # One inf weight in v001's row made every score of v001 NaN.
+        path = built.index_dir / DDC_VECTORS_FILE
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("v001\t")
+        lines[1] = lines[1].rsplit(":", 1)[0] + ":inf"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match=r"ddc_vectors\.tsv:2: non-finite"):
             load_index(built)
 
     def test_loaded_scores_match_freshly_built(self, built):
