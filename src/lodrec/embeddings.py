@@ -12,6 +12,7 @@ given corpus.
 
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -66,65 +67,130 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_embeddings(path, limit: int | None = None) -> EmbeddingTable:
-    """Load a text-format vector table, at most ``limit`` rows.
+# Lines parsed per numpy call.  Bigger blocks parse no faster and hold
+# more transient memory: loadtxt copies the block's text.
+_BLOCK_LINES = 1024
+
+
+def _loadtxt(cells: list[str], delimiter: str | None) -> np.ndarray:
+    return np.loadtxt(cells, dtype=np.float64, delimiter=delimiter,
+                      comments=None, ndmin=2)
+
+
+def _parse_rows(path, line_nos: list[int], cells: list[str], dim: int,
+                delimiter: str | None = None) -> np.ndarray:
+    """Parse ``dim`` numbers per cell with one numpy call.
+
+    If numpy refuses the block, or it holds a wrong count or a non-finite
+    value, the cells are parsed one at a time to name the first bad line.
+    """
+    try:
+        if all(cells):  # numpy would skip an empty row
+            matrix = _loadtxt(cells, delimiter)
+            if matrix.shape == (len(cells), dim) and np.isfinite(matrix).all():
+                return matrix
+    except ValueError:
+        pass
+    rows = []
+    for line_no, cell in zip(line_nos, cells):
+        got = len(cell.split(delimiter))
+        if got != dim:
+            raise ParseError(path, line_no,
+                             f"expected {dim} components, got {got}")
+        try:
+            row = _loadtxt([cell], delimiter)
+        except ValueError:
+            raise ParseError(path, line_no,
+                             "non-numeric vector component") from None
+        if not np.isfinite(row).all():
+            raise ParseError(path, line_no, "non-finite vector component")
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def _header_dim(line: str) -> int | None:
+    """``dim`` of a ``<count> <dim>`` header line; None for a data row
+    (a two-field data row is a row of a dim-1 table)."""
+    fields = line.split()
+    if len(fields) != 2:
+        return None
+    try:
+        int(fields[0])
+        return int(fields[1])
+    except ValueError:
+        return None
+
+
+def load_embeddings(path, limit: int | None = None,
+                    keep: set[str] | None = None) -> EmbeddingTable:
+    """Load a text-format vector table: its first ``limit`` distinct tokens.
 
     The dimension comes from the header if present, otherwise from the
-    first data row; every row is checked against it.
+    first data row.  Every row up to the limit is checked, but only the
+    rows whose normalized token is in ``keep`` (all, if None) are stored.
+    Components are parsed by numpy in blocks of lines, so ``1_0`` and
+    non-ASCII digits, which Python's ``float`` takes, are refused.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     duplicates = 0
     dim: int | None = None
+    # The pending block: line numbers, component text, token to store.
+    line_nos: list[int] = []
+    cells: list[str] = []
+    stored: list[str | None] = []
+
+    def flush():
+        matrix = _parse_rows(path, line_nos, cells, dim)
+        for token, vec in zip(stored, matrix):
+            if token is not None:
+                vectors[token] = vec.copy()  # a view would pin the block
+        line_nos.clear()
+        cells.clear()
+        stored.clear()
+
     with open(path, encoding="utf-8") as f:
         first = f.readline()
         if not first:
             raise ParseError(path, 1, "empty embeddings file")
-        header_fields = first.split()
-        if len(header_fields) == 2:
-            try:
-                int(header_fields[0])
-                dim = int(header_fields[1])
-                first = None  # consumed as header
-            except ValueError:
-                pass  # two-field data row (dim-1 table); treat as data
+        lines = enumerate(f, start=2)
+        dim = _header_dim(first)
+        if dim is None:
+            lines = itertools.chain([(1, first)], lines)
+        elif dim < 1:
+            raise ParseError(path, 1, f"header dimension {dim} is not >= 1")
 
-        def parse_row(line: str, line_no: int):
-            nonlocal dim, duplicates
-            fields = line.split()
-            if not fields:
-                return
-            token = _normalize_token(fields[0])
-            values = fields[1:]
-            if dim is None:
-                if not values:
-                    raise ParseError(path, line_no, "row has no components")
-                dim = len(values)
-            if len(values) != dim:
-                raise ParseError(
-                    path, line_no,
-                    f"expected {dim} components, got {len(values)}")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 "non-numeric vector component") from None
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(path, line_no, "non-finite vector component")
-            if token in vectors:
-                duplicates += 1
-                return
-            vectors[token] = vec
-
-        if first is not None:
-            parse_row(first, 1)
-        for line_no, line in enumerate(f, start=2):
-            if limit is not None and len(vectors) >= limit:
+        for line_no, line in lines:
+            if limit is not None and len(seen) >= limit:
                 break
-            if line.strip():
-                parse_row(line, line_no)
+            fields = line.split(None, 1)
+            if not fields:
+                continue
+            cell = fields[1] if len(fields) == 2 else ""
+            if dim is None:
+                dim = len(cell.split())
+                if not dim:
+                    raise ParseError(path, line_no, "row has no components")
+            token = _normalize_token(fields[0])
+            if token in seen:
+                duplicates += 1
+                token = None
+            else:
+                seen.add(token)
+                if keep is not None and token not in keep:
+                    token = None
+            line_nos.append(line_no)
+            cells.append(cell)
+            stored.append(token)
+            if len(cells) >= _BLOCK_LINES:
+                flush()
+        if cells:
+            flush()
 
-    if dim is None or not vectors:
+    if not seen:
         raise ParseError(path, 1, "embeddings file contains no vectors")
     return EmbeddingTable(dim=dim, vectors=vectors,
                           duplicates_skipped=duplicates)
@@ -172,6 +238,17 @@ class DocVector:
         return int(self.vector.shape[0])
 
 
+def video_tokens(video: VideoRecord,
+                 stopwords: set[str] | None = None) -> list[str]:
+    """Token occurrences of title, tag surfaces and abstract, stopwords out:
+    the words ``embed_video`` looks up in the table."""
+    texts = [video.title, *(t.surface for t in video.tags), video.abstract]
+    tokens = [tok for text in texts for tok in tokenize(text)]
+    if stopwords:
+        tokens = [tok for tok in tokens if tok not in stopwords]
+    return tokens
+
+
 def embed_video(video: VideoRecord, table: EmbeddingTable,
                 stopwords: set[str] | None = None) -> DocVector:
     """Mean of the table vectors over all token occurrences.
@@ -181,11 +258,7 @@ def embed_video(video: VideoRecord, table: EmbeddingTable,
     sorted order so the mean is bit-for-bit invariant under permutations
     of the input words.
     """
-    texts = [video.title, *(t.surface for t in video.tags), video.abstract]
-    tokens = [tok for text in texts for tok in tokenize(text)]
-    if stopwords:
-        tokens = [tok for tok in tokens if tok not in stopwords]
-
+    tokens = video_tokens(video, stopwords)
     found = sorted(tok for tok in tokens if tok in table)
     missed = len(tokens) - len(found)
     if not found:
@@ -218,17 +291,10 @@ def save_doc_vectors(vectors: list[DocVector], path) -> None:
             f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n")
 
 
-def _parse_components(cells: list[str]) -> np.ndarray:
-    """One row per comma-separated cell, parsed by numpy."""
-    return np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None,
-                      ndmin=2)
-
-
 def load_doc_vectors(path) -> list[DocVector]:
     """Read the cache; one numpy call parses all components."""
     rows: list[tuple[int, str, int, int]] = []
     cells: list[str] = []
-    dim: int | None = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -244,30 +310,12 @@ def load_doc_vectors(path) -> list[DocVector]:
                 raise ParseError(path, line_no, "malformed cache row") from None
             if not fields[3].strip():  # numpy would skip the empty row
                 raise ParseError(path, line_no, "malformed cache row")
-            n_components = fields[3].count(",") + 1
-            if dim is None:
-                dim = n_components
-            elif n_components != dim:
-                raise ParseError(path, line_no,
-                                 f"expected {dim} components, got {n_components}")
             rows.append((line_no, fields[0], used, missed))
             cells.append(fields[3])
     if not rows:
         return []
-    try:
-        matrix = _parse_components(cells)
-    except ValueError:
-        # Name the first line numpy cannot parse on its own.
-        for (line_no, *_), cell in zip(rows, cells):
-            try:
-                _parse_components([cell])
-            except ValueError:
-                raise ParseError(path, line_no, "malformed cache row") from None
-        raise
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise ParseError(path, rows[int(np.argmin(finite))][0],
-                         "non-finite vector component")
+    matrix = _parse_rows(path, [line_no for line_no, *_ in rows], cells,
+                         cells[0].count(",") + 1, delimiter=",")
     return [DocVector(video_id=vid, vector=vec, tokens_used=used,
                       tokens_missed=missed)
             for (_, vid, used, missed), vec in zip(rows, matrix)]
@@ -277,4 +325,5 @@ __all__ = [
     "DocVector", "EmbeddingTable",
     "embed_video", "load_doc_vectors", "load_embeddings", "load_stoplist",
     "save_doc_vectors", "save_embeddings", "text_similarity", "tokenize",
+    "video_tokens",
 ]

@@ -57,35 +57,33 @@ _ESCAPES = {
 }
 
 
+# A backslash and what it escapes: up to the 4 or 8 characters a \u or
+# \U escape takes, else any one character, else nothing (at the end).
+_ESCAPE_RE = re.compile(r"\\(?:u(.{0,4})|U(.{0,8})|(.))?", re.DOTALL)
+
+
 def _unescape(lit: str, path, line_no: int) -> str:
-    out = []
-    i = 0
-    while i < len(lit):
-        c = lit[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(lit):
+    if "\\" not in lit:
+        return lit
+
+    def replace(m: re.Match) -> str:
+        u4, u8, char = m.groups()
+        if char is not None:
+            if char in _ESCAPES:
+                return _ESCAPES[char]
+            raise ParseError(path, line_no, f"unknown escape \\{char}")
+        if u4 is None and u8 is None:
             raise ParseError(path, line_no, "dangling backslash in literal")
-        esc = lit[i + 1]
-        if esc in _ESCAPES:
-            out.append(_ESCAPES[esc])
-            i += 2
-        elif esc in ("u", "U"):
-            width = 4 if esc == "u" else 8
-            hexpart = lit[i + 2:i + 2 + width]
-            if len(hexpart) != width:
-                raise ParseError(path, line_no, f"truncated \\{esc} escape")
-            try:
-                out.append(chr(int(hexpart, 16)))
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"invalid \\{esc} escape: {hexpart!r}") from None
-            i += 2 + width
-        else:
-            raise ParseError(path, line_no, f"unknown escape \\{esc}")
-    return "".join(out)
+        esc, width, hexpart = ("u", 4, u4) if u8 is None else ("U", 8, u8)
+        if len(hexpart) != width:
+            raise ParseError(path, line_no, f"truncated \\{esc} escape")
+        try:
+            return chr(int(hexpart, 16))
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"invalid \\{esc} escape: {hexpart!r}") from None
+
+    return _ESCAPE_RE.sub(replace, lit)
 
 
 def read_ntriples(path) -> list[VideoRecord]:

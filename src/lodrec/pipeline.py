@@ -38,6 +38,7 @@ from .embeddings import (
     load_embeddings,
     load_stoplist,
     save_doc_vectors,
+    video_tokens,
 )
 from .engine import CorpusIndex
 from .errors import LodrecError, VocabularyMismatchError
@@ -75,6 +76,8 @@ class PipelineConfig:
                 "weights must be finite and non-negative with a positive sum")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.limit_embeddings is not None and self.limit_embeddings < 1:
+            raise ConfigError("limit_embeddings must be >= 1")
         if self.fragmentation_mode not in ddc.MODES:
             raise ConfigError(
                 f"fragmentation_mode must be one of {', '.join(ddc.MODES)}")
@@ -170,10 +173,11 @@ def run_index(config: PipelineConfig) -> dict:
     fingerprint = vocab.fingerprint()
     ddc_vectors = [vectorize(v, vocab, fingerprint) for v in enriched]
 
-    table = load_embeddings(config.embeddings_path,
-                            limit=config.limit_embeddings)
     stopwords = (load_stoplist(config.stoplist_path)
                  if config.stoplist_path else None)
+    used = {tok for r in corpus.records for tok in video_tokens(r, stopwords)}
+    table = load_embeddings(config.embeddings_path,
+                            limit=config.limit_embeddings, keep=used)
     doc_vectors = [embed_video(r, table, stopwords) for r in corpus.records]
 
     config.index_dir.mkdir(parents=True, exist_ok=True)

@@ -76,6 +76,13 @@ class TestIndex:
                             "--mode", "zero_preserving")
         assert json.loads(out)["fingerprint"] != default_fp
 
+    def test_nonpositive_limit_is_usage_error(self, capsys, toy_config):
+        run_cli(capsys, "ingest", "--config", toy_config)
+        code, _, err = run_cli(capsys, "index", "--config", toy_config,
+                               "--limit-embeddings", "0")
+        assert code == EXIT_USAGE
+        assert "limit_embeddings must be >= 1" in err
+
     def test_worked_example_vocabulary_file(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps({

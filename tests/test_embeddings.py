@@ -7,6 +7,7 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lodrec import (
     DimensionMismatchError,
@@ -22,7 +23,8 @@ from lodrec import (
     text_similarity,
     tokenize,
 )
-from lodrec.embeddings import load_doc_vectors, save_doc_vectors
+from lodrec import embeddings
+from lodrec.embeddings import load_doc_vectors, save_doc_vectors, video_tokens
 
 from conftest import TOY, random_embedding_table
 
@@ -128,6 +130,213 @@ class TestLoadEmbeddings:
         assert "sparql" in table
 
 
+def reference_load(path, limit=None, keep=None):
+    """The former loader: one Python ``float()`` per component.
+
+    ``limit`` counts distinct normalized tokens read; ``keep`` filters
+    what is stored, after every check.
+    """
+    with open(path, encoding="utf-8") as f:
+        numbered = list(enumerate(f, start=1))
+    if not numbered:
+        raise ParseError(path, 1, "empty embeddings file")
+    vectors, seen, duplicates, dim = {}, set(), 0, None
+    header = numbered[0][1].split()
+    if len(header) == 2:
+        try:
+            int(header[0])
+            dim = int(header[1])
+            numbered = numbered[1:]
+        except ValueError:
+            pass
+    for line_no, line in numbered:
+        if limit is not None and len(seen) >= limit:
+            break
+        fields = line.split()
+        if not fields:
+            continue
+        values = fields[1:]
+        if dim is None:
+            if not values:
+                raise ParseError(path, line_no, "row has no components")
+            dim = len(values)
+        if len(values) != dim:
+            raise ParseError(path, line_no,
+                             f"expected {dim} components, got {len(values)}")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise ParseError(path, line_no,
+                             "non-numeric vector component") from None
+        if not np.all(np.isfinite(vec)):
+            raise ParseError(path, line_no, "non-finite vector component")
+        token = unicodedata.normalize("NFC", fields[0]).casefold()
+        if token in seen:
+            duplicates += 1
+            continue
+        seen.add(token)
+        if keep is None or token in keep:
+            vectors[token] = vec
+    if not seen:
+        raise ParseError(path, 1, "embeddings file contains no vectors")
+    return EmbeddingTable(dim=dim, vectors=vectors,
+                          duplicates_skipped=duplicates)
+
+
+# Spellings that collide once normalized: case, sharp s, NFC vs NFD.
+TOKENS = ["aa", "Aa", "AA", "bb", "BB", "cc", "dd", "ee", "ff",
+          "straße", "STRASSE", "Universität",
+          unicodedata.normalize("NFD", "UNIVERSITÄT")]
+NORMALIZED = sorted({unicodedata.normalize("NFC", t).casefold()
+                     for t in TOKENS})
+FORMATS = [repr, "{:.4f}".format, "{:e}".format, "{:+.3g}".format]
+FAULTS = ["short", "long", "word", "nan", "inf"]
+
+
+@st.composite
+def tables(draw):
+    """The text of a table, with blank lines and at most two bad rows."""
+    dim = draw(st.integers(1, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        fmt = draw(st.sampled_from(FORMATS))
+        cells = [fmt(draw(values)) for _ in range(dim)]
+        rows.append([draw(st.sampled_from(TOKENS)), *cells])
+    data_rows = [r for r in rows if isinstance(r, list)]
+    for at, fault in draw(st.lists(st.tuples(st.integers(0, 99),
+                                             st.sampled_from(FAULTS)),
+                                   max_size=2)):
+        if not data_rows:
+            break
+        row = data_rows[at % len(data_rows)]
+        if fault == "short":
+            del row[-1]
+        elif fault == "long":
+            row.append("1.5")
+        elif len(row) > 1:
+            row[1 + at % (len(row) - 1)] = {"word": "x1", "nan": "nan",
+                                            "inf": "-inf"}[fault]
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    lines = [sep.join(r) if isinstance(r, list) else r for r in rows]
+    if draw(st.booleans()):
+        lines.insert(0, f"{len(data_rows)} {dim}")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestBlockParser:
+    """The numpy block parser against the per-row ``float()`` reference."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=tables(),
+           limit=st.none() | st.integers(1, 8),
+           keep=st.none() | st.sets(st.sampled_from(NORMALIZED)),
+           block=st.integers(1, 5))
+    def test_matches_per_row_reference(self, tmp_path, monkeypatch, text,
+                                       limit, keep, block):
+        monkeypatch.setattr(embeddings, "_BLOCK_LINES", block)
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = reference_load(path, limit=limit, keep=keep)
+        except ParseError as e:
+            with pytest.raises(ParseError) as got:
+                load_embeddings(path, limit=limit, keep=keep)
+            assert str(got.value) == str(e)
+            return
+        got = load_embeddings(path, limit=limit, keep=keep)
+        assert got.dim == want.dim
+        assert got.duplicates_skipped == want.duplicates_skipped
+        assert list(got.vectors) == list(want.vectors)
+        for token, vec in want.vectors.items():
+            assert np.array_equal(got.vectors[token].view(np.int64),
+                                  vec.view(np.int64))
+            assert got.vectors[token].base is None
+
+    def test_bad_row_in_later_block_names_its_line(self, tmp_path):
+        rows = [f"tok{i} {i}.5 -{i}" for i in range(2500)]
+        rows[2100] = "tok2100 1.5 oops"
+        path = write_table(tmp_path, ["2500 2", *rows])
+        with pytest.raises(ParseError,
+                           match=r"vectors\.txt:2102: non-numeric"):
+            load_embeddings(path)
+
+    def test_arity_change_at_block_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK_LINES", 4)
+        rows = [f"tok{i} 1 2" for i in range(8)]
+        rows[4] = "tok4 1 2 3"  # first row of the second block
+        path = write_table(tmp_path, rows)
+        with pytest.raises(ParseError,
+                           match=r":5: expected 2 components, got 3"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("number", ["1_0", "\u0661\u0662"])
+    def test_python_only_number_syntax_refused(self, tmp_path, number):
+        float(number)  # Python's float takes it; numpy's parser does not
+        path = write_table(tmp_path, ["aa 1 2", f"bb 1 {number}"])
+        with pytest.raises(ParseError, match=r":2: non-numeric"):
+            load_embeddings(path)
+
+    def test_kept_rows_are_not_views(self, tmp_path):
+        rows = [f"tok{i} {i} {i + 1} {i + 2}" for i in range(50)]
+        table = load_embeddings(write_table(tmp_path, rows),
+                                keep={"tok3", "tok40"})
+        assert sorted(table.vectors) == ["tok3", "tok40"]
+        assert all(vec.base is None for vec in table.vectors.values())
+        assert np.array_equal(table.vectors["tok40"], [40, 41, 42])
+
+    def test_keep_nothing_still_checks_and_counts(self, tmp_path):
+        path = write_table(tmp_path, ["3 2", "aa 1 2", "AA 3 4", "bb 5 6"])
+        table = load_embeddings(path, keep=set())
+        assert table.dim == 2
+        assert len(table) == 0
+        assert table.duplicates_skipped == 1
+        bad = write_table(tmp_path, ["aa 1 2", "bb 5 x"], name="bad.txt")
+        with pytest.raises(ParseError, match=r":2: non-numeric"):
+            load_embeddings(bad, keep=set())
+
+    def test_header_only_has_no_vectors(self, tmp_path):
+        path = write_table(tmp_path, ["0 3", ""])
+        with pytest.raises(ParseError, match="contains no vectors"):
+            load_embeddings(path, keep={"aa"})
+
+    @pytest.mark.parametrize("header", ["5 0", "5 -2"])
+    def test_header_dimension_below_one_refused(self, tmp_path, header):
+        path = write_table(tmp_path, [header, "aa"])
+        with pytest.raises(ParseError, match=r":1: header dimension"):
+            load_embeddings(path)
+
+
+class TestLimit:
+    ROWS = ["aa 1 2", "AA 3 4", "bb 5 6", "cc 7 8", "dd 9 x"]
+
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_below_one_refused(self, tmp_path, header, limit):
+        lines = (["4 2"] if header else []) + self.ROWS
+        path = write_table(tmp_path, lines)
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            load_embeddings(path, limit=limit)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_counts_distinct_tokens_and_reads_no_further(self, tmp_path,
+                                                         header):
+        lines = (["4 2"] if header else []) + self.ROWS
+        table = load_embeddings(write_table(tmp_path, lines), limit=3)
+        assert list(table.vectors) == ["aa", "bb", "cc"]
+        assert table.duplicates_skipped == 1  # the bad "dd" row is unread
+
+    def test_dropped_rows_count_toward_limit(self, tmp_path):
+        path = write_table(tmp_path, self.ROWS)
+        assert len(load_embeddings(path, limit=2, keep={"cc"})) == 0
+        table = load_embeddings(path, limit=3, keep={"cc", "dd"})
+        assert list(table.vectors) == ["cc"]
+
+
 class TestEmbedVideo:
     def test_single_token_equals_table_vector(self):
         table = EmbeddingTable(dim=3, vectors={"sparql": np.array([1., 2., 3.])})
@@ -198,6 +407,14 @@ class TestEmbedVideo:
         doc = embed_video(video(title="aa und"), table, stopwords={"und"})
         assert np.array_equal(doc.vector, [1.0, 0.0])
         assert doc.tokens_used == 1
+
+    def test_video_tokens_are_the_lookups(self):
+        v = video(title="Daten und Netze", tags=("RDF",), abstract="daten")
+        assert video_tokens(v, {"und"}) == ["daten", "netze", "rdf", "daten"]
+        table = EmbeddingTable(dim=1, vectors={"daten": np.array([2.0]),
+                                               "rdf": np.array([5.0])})
+        doc = embed_video(v, table, stopwords={"und"})
+        assert (doc.tokens_used, doc.tokens_missed) == (3, 1)
 
     def test_stoplist_loader(self, tmp_path):
         path = tmp_path / "stop.txt"

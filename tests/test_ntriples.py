@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lodrec import ParseError, load_corpus
-from lodrec.ntriples import read_ntriples
+from lodrec.ntriples import _unescape, read_ntriples
 
 from conftest import TOY
 
@@ -125,6 +126,102 @@ class TestEscapes:
         lines = [f'{SUBJ} {TITLE} "{bad}" .', f'{SUBJ} {LANG} "de" .']
         with pytest.raises(ParseError):
             read_ntriples(write_nt(tmp_path, lines))
+
+
+SHORT_ESCAPES = {"\t": "t", "\b": "b", "\n": "n", "\r": "r", "\f": "f",
+                 '"': '"', "'": "'", "\\": "\\"}
+
+
+def escape(chars) -> str:
+    """N-Triples literal text for ``(char, choice)`` pairs; the choice picks
+    among the forms the char allows: raw, short escape, \\u, \\U."""
+    out = []
+    for char, choice in chars:
+        code = ord(char)
+        forms = []
+        if char not in '"\\\n\r':
+            forms.append(char)
+        if char in SHORT_ESCAPES:
+            forms.append("\\" + SHORT_ESCAPES[char])
+        if code < 0x10000:
+            forms.append(f"\\u{code:04x}")
+        forms.append(f"\\U{code:08X}")
+        out.append(forms[choice % len(forms)])
+    return "".join(out)
+
+
+def reference_unescape(lit: str, path, line_no: int) -> str:
+    """The former per-character decoder."""
+    escapes = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+               '"': '"', "'": "'", "\\": "\\"}
+    out = []
+    i = 0
+    while i < len(lit):
+        c = lit[i]
+        if c != "\\":
+            out.append(c)
+            i += 1
+            continue
+        if i + 1 >= len(lit):
+            raise ParseError(path, line_no, "dangling backslash in literal")
+        esc = lit[i + 1]
+        if esc in escapes:
+            out.append(escapes[esc])
+            i += 2
+        elif esc in ("u", "U"):
+            width = 4 if esc == "u" else 8
+            hexpart = lit[i + 2:i + 2 + width]
+            if len(hexpart) != width:
+                raise ParseError(path, line_no, f"truncated \\{esc} escape")
+            try:
+                out.append(chr(int(hexpart, 16)))
+            except ValueError:
+                raise ParseError(path, line_no,
+                                 f"invalid \\{esc} escape: {hexpart!r}") from None
+            i += 2 + width
+        else:
+            raise ParseError(path, line_no, f"unknown escape \\{esc}")
+    return "".join(out)
+
+
+TEXT_CHARS = st.characters(blacklist_categories=("Cs",))
+
+
+class TestEscapeProperties:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chars=st.lists(st.tuples(TEXT_CHARS, st.integers(0, 3)),
+                          max_size=30))
+    def test_round_trip(self, tmp_path, chars):
+        text = "".join(char for char, _ in chars)
+        lines = [f'{SUBJ} {TITLE} "{escape(chars)}" .',
+                 f'{SUBJ} {LANG} "de" .']
+        assert read_ntriples(write_nt(tmp_path, lines))[0].title == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(lit=st.text(st.sampled_from("\\uU0aF9+-_ x\"tn\n") | TEXT_CHARS,
+                       max_size=24))
+    def test_same_output_and_errors_as_per_character_decoder(self, lit):
+        try:
+            want = reference_unescape(lit, "c.nt", 7)
+        except ParseError as e:
+            with pytest.raises(ParseError) as got:
+                _unescape(lit, "c.nt", 7)
+            assert str(got.value) == str(e)
+        else:
+            assert _unescape(lit, "c.nt", 7) == want
+
+    @pytest.mark.parametrize("lit, message", [
+        ("end\\", "dangling backslash"),
+        ("\\u12", "truncated \\\\u escape"),
+        ("\\U0001F3A", "truncated \\\\U escape"),
+        ("\\u12g4", "invalid \\\\u escape: '12g4'"),
+        ("\\U00110000", "invalid \\\\U escape: '00110000'"),
+        ("\\x41", "unknown escape \\\\x"),
+    ])
+    def test_error_messages(self, lit, message):
+        with pytest.raises(ParseError, match=f"^c.nt:7: {message}"):
+            _unescape(lit, "c.nt", 7)
 
 
 class TestErrors:

@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lodrec import (
@@ -90,6 +91,8 @@ class TestLoadConfig:
         ("corpus_format", "xml", "corpus_format"),
         ("w_text", "nan", "finite"),
         ("w_ddc", "inf", "finite"),
+        ("limit_embeddings", "0", "limit_embeddings must be >= 1"),
+        ("limit_embeddings", "-5", "limit_embeddings must be >= 1"),
     ])
     def test_invalid_values(self, tmp_path, key, value, message):
         path = write_config(tmp_path, **{key: value})
@@ -128,6 +131,8 @@ class TestOverrideConfig:
         config = load_config(write_config(tmp_path))
         with pytest.raises(ConfigError):
             override_config(config, k=0)
+        with pytest.raises(ConfigError, match="limit_embeddings"):
+            override_config(config, limit_embeddings=0)
 
 
 class TestIngestAndIndex:
@@ -192,6 +197,62 @@ class TestIngestAndIndex:
         preserved = run_index(override_config(
             config, fragmentation_mode="zero_preserving"))["fingerprint"]
         assert stripped != preserved
+
+
+def filler_rows(n: int, dim: int = 16, seed: int = 7) -> list[str]:
+    """Rows of tokens no toy video uses."""
+    rng = np.random.default_rng(seed)
+    return [f"zzfill{i} " + " ".join(f"{x:.4f}" for x in rng.normal(size=dim))
+            for i in range(n)]
+
+
+class TestEmbeddingTableInBuild:
+    """``run_index`` stores only the table rows its videos use."""
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_ingest(config)
+        return config
+
+    def test_filler_rows_leave_index_byte_identical(self, config, tmp_path):
+        summary = run_index(config)
+        artifacts = {n: (config.index_dir / n).read_bytes() for n in ARTIFACTS}
+        header, *rows = (TOY / "embeddings.txt").read_text(
+            encoding="utf-8").splitlines()
+        filler = filler_rows(2000)
+        padded = [f"{len(rows) + len(filler)} {header.split()[1]}"]
+        taken = 0
+        for i, row in enumerate(rows):  # about 24 filler rows per toy row
+            share = len(filler) * (i + 1) // len(rows)
+            padded += [*filler[taken:share], row]
+            taken = share
+        assert len(padded) == 1 + len(rows) + len(filler)
+        table = tmp_path / "padded.txt"
+        table.write_text("\n".join(padded) + "\n", encoding="utf-8")
+        assert run_index(override_config(config,
+                                         embeddings_path=table)) == summary
+        for name, before in artifacts.items():
+            assert (config.index_dir / name).read_bytes() == before, name
+
+    def test_malformed_unused_row_fails_build(self, config, tmp_path):
+        lines = (TOY / "embeddings.txt").read_text(
+            encoding="utf-8").splitlines()
+        bad = filler_rows(1)[0].replace(" ", " x", 1)
+        table = tmp_path / "bad.txt"
+        table.write_text("\n".join([*lines, bad]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=rf"bad\.txt:{len(lines) + 1}: non-numeric"):
+            run_index(override_config(config, embeddings_path=table))
+
+    def test_table_without_corpus_tokens_builds_degenerate(self, config,
+                                                           tmp_path):
+        table = tmp_path / "unused.txt"
+        table.write_text("\n".join(filler_rows(50)) + "\n", encoding="utf-8")
+        summary = run_index(override_config(config, embeddings_path=table))
+        assert summary["embedding_dim"] == 16
+        assert summary["degenerate_doc_vectors"] == summary["videos"] == 8
+        assert len(recommend("v001", load_index(config), k=3).ranked) == 3
 
 
 class TestLoadIndex:
