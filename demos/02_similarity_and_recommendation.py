@@ -7,6 +7,7 @@ without resolvable codes, and prints top-3 recommendations with and
 without the classification-code evidence.
 """
 
+import io
 import tempfile
 from pathlib import Path
 
@@ -16,12 +17,11 @@ from lodrec import (
     combined_similarity,
     load_config,
     load_index,
-    matrix_to_tsv,
     override_config,
     recommend,
     run_index,
     run_ingest,
-    similarity_matrix,
+    write_matrix_tsv,
 )
 
 TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
@@ -63,10 +63,10 @@ def main() -> None:
                                     method=WITHOUT_LOD).ranked:
             print(f"  {vid}  {score:.4f}")
 
-        matrix = similarity_matrix(index, WITH_LOD)
-        tsv = matrix_to_tsv(index, matrix)
+        tsv = io.StringIO()
+        write_matrix_tsv(index, tsv, WITH_LOD)
         print(f"\nfull matrix is {len(index)}x{len(index)}; first TSV line:")
-        print(" ", tsv.splitlines()[0].replace("\t", "  "))
+        print(" ", tsv.getvalue().splitlines()[0].replace("\t", "  "))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import ddc
-from .engine import METHODS, WITH_LOD, recommend, similarity_matrix, matrix_to_tsv
+from .engine import METHODS, WITH_LOD, recommend, write_matrix_tsv
 from .errors import LodrecError
 from .evaluation import build_report, load_ratings
 from .pipeline import (
@@ -131,8 +131,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_matrix(args) -> int:
     config = _config_from_args(args)
     index = load_index(config)
-    matrix = similarity_matrix(index, method=args.method)
-    sys.stdout.write(matrix_to_tsv(index, matrix))
+    write_matrix_tsv(index, sys.stdout, method=args.method)
     return EXIT_OK
 
 

@@ -22,15 +22,29 @@ that the index builds once (``_Columns``):
   the videos that have codes;
 - the rank of each id in sorted order, for tie-breaks.
 
-Each cell depends only on its two vectors.  The text cosine is the
-row-wise numpy sum of the products of two unit rows; no BLAS mat-vec is
-used, because its summation order depends on the batch shape.  The
-fragment cosine adds the products of the shared dimensions in ascending
-dimension order.  So a ``similarity_matrix`` row equals the
+Each cell depends only on its two vectors.  The text cosine is
+``np.einsum("ij,j->i", U, U[q])`` over the unit rows ``U``: numpy's own
+sum-of-products loop adds each row's products in an order fixed by the
+row length alone, whatever the number of rows, and allocates no N x D
+temporary.  No BLAS mat-vec (``@``, ``np.dot``, ``einsum`` with
+``optimize``) is used, because BLAS picks its summation order by the
+batch shape, so a row's bits would change with the size of the index.
+The fragment cosine adds the products of the shared dimensions in
+ascending dimension order.  So a ``similarity_matrix`` row equals the
 ``recommend`` scores bit for bit, the matrix is exactly symmetric, and
 ``combined_similarity``, the kernel on a two-video index, agrees with
 both.  NaN marks an undefined score inside the kernel only; scores
 leave it as ``None``.
+
+``recommend`` turns the scores into one order key (minus the score, or
++inf where undefined), finds the k-th key with ``np.partition``, and
+sorts only the rows at or below it, every row tied with it included, by
+(key, id).  The result is the full sort's top k.
+
+The matrix is produced as blocks of ``MATRIX_BLOCK_ROWS`` kernel rows
+(``matrix_blocks``); ``write_matrix_tsv`` formats and writes each block
+as it comes, so ``lodrec matrix`` holds O(block x N) scores and text
+beyond the index, never the whole matrix or TSV.
 """
 
 from __future__ import annotations
@@ -54,6 +68,8 @@ WITHOUT_LOD = "without_lod"
 METHODS = (WITH_LOD, WITHOUT_LOD)
 
 DEFAULT_WEIGHTS = (0.5, 0.5)
+
+MATRIX_BLOCK_ROWS = 64  # kernel rows per block of the streamed matrix
 
 
 @dataclass
@@ -226,7 +242,7 @@ def _score_row(cols: _Columns, q: int, weights: tuple[float, float]):
     n = len(cols.has_text)
     s_text = np.full(n, np.nan)
     if cols.has_text[q]:
-        dots = (cols.unit_text * cols.unit_text[q]).sum(axis=1)
+        dots = np.einsum("ij,j->i", cols.unit_text, cols.unit_text[q])
         np.copyto(s_text, dots, where=cols.has_text)
 
     s_ddc = np.full(n, np.nan)
@@ -300,18 +316,19 @@ def recommend(query_id: str, index: CorpusIndex, k: int,
         raise ValueError(f"k={k} out of range 1..{n_candidates}")
 
     scores = _method_scores(index, q, method)
-    undefined = np.isnan(scores)
-    order = np.lexsort((index.columns.id_rank,
-                        np.where(undefined, 0.0, -scores), undefined))
-    order = order[order != q][:k]
-    ranked = [(index.ids[c], _value(scores[c])) for c in order.tolist()]
+    key = np.where(np.isnan(scores), np.inf, -scores)
+    key[q] = np.nan  # partition puts NaN last, and NaN <= kth is False
+    kth = np.partition(key, k - 1)[k - 1]
+    top = np.flatnonzero(key <= kth)
+    top = top[np.lexsort((index.columns.id_rank[top], key[top]))][:k]
+    ranked = [(index.ids[c], _value(scores[c])) for c in top.tolist()]
     return Recommendation(query_id=query_id, ranked=ranked,
                           method=method, k=k)
 
 
-def similarity_matrix(index: CorpusIndex,
-                      method: str = WITH_LOD) -> np.ndarray:
-    """Dense pairwise score matrix; NaN marks undefined cells.
+def matrix_blocks(index: CorpusIndex, method: str = WITH_LOD):
+    """The pairwise score matrix as consecutive blocks of at most
+    ``MATRIX_BLOCK_ROWS`` rows, top to bottom; NaN marks undefined cells.
 
     Row ``r`` is the kernel's answer for query ``r``, so each row equals
     the ``recommend`` scores and the matrix is exactly symmetric.
@@ -319,23 +336,34 @@ def similarity_matrix(index: CorpusIndex,
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     n = len(index.ids)
-    matrix = np.empty((n, n))
-    for r in range(n):
-        matrix[r] = _method_scores(index, r, method)
-    return matrix
+    for start in range(0, n, MATRIX_BLOCK_ROWS):
+        yield np.stack([_method_scores(index, r, method) for r in
+                        range(start, min(start + MATRIX_BLOCK_ROWS, n))])
 
 
-def matrix_to_tsv(index: CorpusIndex, matrix: np.ndarray) -> str:
-    """TSV with id header row and column; undefined cells empty."""
-    lines = ["\t" + "\t".join(index.ids)]
-    for vid, row in zip(index.ids, matrix):
-        lines.append(vid + "\t" + "\t".join(
-            "" if x != x else repr(x) for x in row.tolist()))
-    return "\n".join(lines) + "\n"
+def similarity_matrix(index: CorpusIndex,
+                      method: str = WITH_LOD) -> np.ndarray:
+    """The dense N x N stack of ``matrix_blocks``."""
+    return np.vstack([np.empty((0, len(index.ids))),
+                      *matrix_blocks(index, method)])
+
+
+def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
+    """Write the matrix to ``out`` as TSV, one block at a time: an id
+    header row and column, each cell its float ``repr``, undefined cells
+    empty."""
+    out.write("\t" + "\t".join(index.ids) + "\n")
+    ids = iter(index.ids)
+    for block in matrix_blocks(index, method):
+        out.write("".join(
+            next(ids) + "\t"
+            + "\t".join("" if x != x else repr(x) for x in row) + "\n"
+            for row in block.tolist()))
 
 
 __all__ = [
     "METHODS", "WITH_LOD", "WITHOUT_LOD", "DEFAULT_WEIGHTS",
-    "CorpusIndex", "Recommendation", "SimilarityScore",
-    "combined_similarity", "matrix_to_tsv", "recommend", "similarity_matrix",
+    "MATRIX_BLOCK_ROWS", "CorpusIndex", "Recommendation", "SimilarityScore",
+    "combined_similarity", "matrix_blocks", "recommend", "similarity_matrix",
+    "write_matrix_tsv",
 ]

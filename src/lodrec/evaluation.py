@@ -15,12 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import METHODS, WITH_LOD, WITHOUT_LOD  # METHODS: table rows
 from .errors import EvaluationError, ParseError
 from .special import regularized_gamma_q
 
-WITH_LOD = "with_lod"
-WITHOUT_LOD = "without_lod"
-METHODS = (WITH_LOD, WITHOUT_LOD)          # row order of the table
 LEVELS = ("high", "medium", "low", "none")  # column order of the table
 RATING_TO_LEVEL = {3: "high", 2: "medium", 1: "low", 0: "none"}
 

@@ -20,6 +20,7 @@ from lodrec import (
     VideoRecord,
     build_vocabulary,
     embed_video,
+    engine,
     load_corpus,
     load_snapshot,
     parse_code,
@@ -184,3 +185,20 @@ def hierarchy_index() -> CorpusIndex:
         doc_vectors[vid] = embed_video(record, table)
     return CorpusIndex(ids=sorted(video_codes),
                        doc_vectors=doc_vectors, ddc_vectors=ddc_vectors)
+
+
+def kernel_matrix(index: CorpusIndex, method: str) -> np.ndarray:
+    """The kernel's rows stacked one by one, without ``matrix_blocks``."""
+    return np.stack([engine._method_scores(index, r, method)
+                     for r in range(len(index))])
+
+
+def cell_by_cell_tsv(ids: list[str], matrix: np.ndarray) -> str:
+    """The TSV of a dense score matrix as the former whole-string writer
+    made it: an id header row and column, each cell its float ``repr``,
+    undefined cells empty."""
+    lines = ["\t" + "\t".join(ids)]
+    for vid, row in zip(ids, matrix):
+        lines.append(vid + "\t" + "\t".join(
+            "" if x != x else repr(x) for x in row.tolist()))
+    return "\n".join(lines) + "\n"

@@ -10,9 +10,17 @@ import sys
 
 import pytest
 
+from lodrec import METHODS, engine, load_config, load_index
 from lodrec.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
-from conftest import RATINGS_CSV, REPO, TOY, write_toy_config
+from conftest import (
+    RATINGS_CSV,
+    REPO,
+    TOY,
+    cell_by_cell_tsv,
+    kernel_matrix,
+    write_toy_config,
+)
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +201,19 @@ class TestMatrix:
         assert rows["v001"][ids.index("v002")] == \
             rows["v002"][ids.index("v001")]
         assert float(rows["v001"][ids.index("v001")]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_streamed_bytes_equal_the_dense_format(self, capsys, monkeypatch,
+                                                   indexed_config, method):
+        index = load_index(load_config(indexed_config))
+        expected = cell_by_cell_tsv(index.ids, kernel_matrix(index, method))
+        n = len(index)
+        for rows in (engine.MATRIX_BLOCK_ROWS, 1, 2, 3, n - 1, n, n + 1):
+            monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", rows)
+            code, out, err = run_cli(capsys, "matrix", "--config",
+                                     indexed_config, "--method", method)
+            assert (code, err) == (EXIT_OK, "")
+            assert out == expected
 
 
 class TestEvaluate:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lodrec import (
+    METHODS,
     WITH_LOD,
     WITHOUT_LOD,
     CorpusIndex,
@@ -16,13 +21,20 @@ from lodrec import (
     UnknownIdError,
     combined_similarity,
     ddc_similarity,
-    matrix_to_tsv,
+    engine,
     recommend,
     similarity_matrix,
     text_similarity,
+    write_matrix_tsv,
 )
+from lodrec.engine import _score_row, matrix_blocks
 
-from conftest import hierarchy_index, random_micro_index
+from conftest import (
+    cell_by_cell_tsv,
+    hierarchy_index,
+    kernel_matrix,
+    random_micro_index,
+)
 
 
 def brute_force_ranking(index: CorpusIndex, query: str, method: str):
@@ -38,6 +50,12 @@ def brute_force_ranking(index: CorpusIndex, query: str, method: str):
                      key=lambda p: (-p[1], p[0]))
     undefined = sorted(p for p in scored if p[1] is None)
     return defined + undefined
+
+
+def matrix_tsv(index: CorpusIndex, method: str = WITH_LOD) -> str:
+    out = io.StringIO()
+    write_matrix_tsv(index, out, method)
+    return out.getvalue()
 
 
 def two_doc_vectors(a, b):
@@ -338,11 +356,11 @@ class TestSimilarityMatrix:
                      else repr(float(matrix[r, c]))
                      for c in range(len(index.ids))]
             lines.append(vid + "\t" + "\t".join(cells))
-        assert matrix_to_tsv(index, matrix) == "\n".join(lines) + "\n"
+        assert matrix_tsv(index) == "\n".join(lines) + "\n"
 
     def test_tsv_export(self):
         index = _with_ghost(hierarchy_index())
-        text = matrix_to_tsv(index, similarity_matrix(index))
+        text = matrix_tsv(index)
         lines = text.strip("\n").split("\n")
         assert lines[0].split("\t") == ["", "a1", "a2", "b1", "b2", "ghost"]
         last = lines[-1].split("\t")
@@ -350,3 +368,202 @@ class TestSimilarityMatrix:
         assert all(cell == "" for cell in last[1:])
         a1_row = lines[1].split("\t")
         assert float(a1_row[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _bits(a) -> np.ndarray:
+    """The IEEE bit patterns of ``a``: equal only if every bit is."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _ranked_bits(ranked):
+    return [(vid, None if s is None else _bits(s).item()) for vid, s in ranked]
+
+
+def lexsort_ranking(scores: np.ndarray, q: int, ids: list[str], k: int):
+    """The former selection: one 3-key ``np.lexsort`` over every row
+    (undefined last, then descending score, then ascending id), the
+    query's row dropped, the first k kept."""
+    rank = {vid: r for r, vid in enumerate(sorted(ids))}
+    id_rank = np.array([rank[vid] for vid in ids])
+    undefined = np.isnan(scores)
+    order = np.lexsort((id_rank, np.where(undefined, 0.0, -scores),
+                        undefined))
+    order = order[order != q][:k]
+    return [(ids[c], None if undefined[c] else float(scores[c]))
+            for c in order.tolist()]
+
+
+def _with_reuploads(index: CorpusIndex, vids: list[str],
+                    rng: random.Random) -> CorpusIndex:
+    """A new index: ``index`` plus two copies of each of ``vids`` at random
+    places, as ``a_<id>`` and ``<id>_re``, so their scores tie exactly."""
+    ids = list(index.ids)
+    docs, ddcs = dict(index.doc_vectors), dict(index.ddc_vectors)
+    for vid in vids:
+        for copy in (f"a_{vid}", f"{vid}_re"):
+            ids.insert(rng.randint(0, len(ids)), copy)
+            docs[copy] = replace(docs[vid], video_id=copy)
+            if vid in ddcs:
+                ddcs[copy] = replace(ddcs[vid], video_id=copy)
+    return CorpusIndex(ids=ids, doc_vectors=docs, ddc_vectors=ddcs,
+                       weights=index.weights)
+
+
+_SCORE_POOL = [math.nan, 0.0, -0.0, 0.5, -0.5, 1.0, 0.25]
+
+
+class TestSelection:
+    """``recommend`` keeps the rows at or below the k-th key of a
+    partition; it must return the full lexsort's top k exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_partition_matches_full_lexsort(self, data):
+        n = data.draw(st.integers(2, 12))
+        scores = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(_SCORE_POOL), st.floats(-1, 1)),
+            min_size=n, max_size=n)))
+        ids = data.draw(st.permutations([f"v{i:02d}" for i in range(n)]))
+        q = data.draw(st.integers(0, n - 1))
+        index = CorpusIndex(
+            ids=ids, ddc_vectors={},
+            doc_vectors={vid: DocVector(vid, np.ones(1), 1, 0)
+                         for vid in ids})
+        with mock.patch.object(engine, "_method_scores",
+                               lambda *_: scores.copy()):
+            for method in METHODS:
+                for k in range(1, n):
+                    rec = recommend(ids[q], index, k, method)
+                    assert _ranked_bits(rec.ranked) == _ranked_bits(
+                        lexsort_ranking(scores, q, ids, k))
+
+    def test_recommend_matches_full_lexsort_on_micro_indexes(self):
+        rng = random.Random(109)
+        for _ in range(25):
+            index = random_micro_index(rng)
+            index = _with_ghost(_with_reuploads(
+                index, rng.sample(index.ids, min(3, len(index))), rng))
+            for method in METHODS:
+                matrix = kernel_matrix(index, method)
+                for q, query in enumerate(index.ids):
+                    for k in range(1, len(index)):
+                        rec = recommend(query, index, k, method)
+                        assert _ranked_bits(rec.ranked) == _ranked_bits(
+                            lexsort_ranking(matrix[q], q, index.ids, k))
+
+    def test_ties_straddle_the_kth_place(self):
+        index = _with_reuploads(hierarchy_index(), ["a2"], random.Random(3))
+        full = recommend("a1", index, len(index) - 1).ranked
+        assert [vid for vid, _ in full[:3]] == ["a2", "a2_re", "a_a2"]
+        assert full[0][1] == full[1][1] == full[2][1] > full[3][1]
+        for k in (1, 2, 3):
+            assert recommend("a1", index, k).ranked == full[:k]
+
+
+def _random_text_index(rng: np.random.Generator, n: int = 160,
+                       dim: int = 300) -> CorpusIndex:
+    """Random doc vectors, some zero and some with no token found."""
+    docs = {}
+    for r in range(n):
+        vid = f"d{r:03d}"
+        kind = rng.random()
+        vector = np.zeros(dim) if kind < 0.05 else rng.normal(size=dim)
+        docs[vid] = DocVector(vid, vector, 0 if kind > 0.95 else 1, 0)
+    return CorpusIndex(ids=list(docs), doc_vectors=docs, ddc_vectors={})
+
+
+class TestTextRoute:
+    """A text score depends only on its two rows: the same bits in any
+    row subset, in either order, and close to the former row-wise
+    product.  BLAS (``U @ U[q]``) fails the subset check."""
+
+    def test_subset_rows_keep_their_bits(self):
+        rng = np.random.default_rng(97)
+        full = _random_text_index(rng)
+        matrix = similarity_matrix(full, WITHOUT_LOD)
+        for _ in range(60):
+            rows = rng.permutation(len(full))[:rng.integers(1, len(full) + 1)]
+            sub = CorpusIndex(ids=[full.ids[r] for r in rows],
+                              doc_vectors=full.doc_vectors, ddc_vectors={})
+            for q in rng.permutation(len(rows))[:4].tolist():
+                s_text = _score_row(sub.columns, q, sub.weights)[0]
+                assert np.array_equal(_bits(s_text),
+                                      _bits(matrix[rows[q], rows]))
+
+    def test_exactly_symmetric(self):
+        matrix = similarity_matrix(_random_text_index(
+            np.random.default_rng(101)), WITHOUT_LOD)
+        assert np.array_equal(_bits(matrix), _bits(matrix.T))
+
+    def test_within_1e15_of_the_former_rowwise_product(self):
+        index = _random_text_index(np.random.default_rng(103))
+        cols = index.columns
+        matrix = similarity_matrix(index, WITHOUT_LOD)
+        assert not cols.has_text.all() and cols.has_text.any()
+        for q in range(len(index)):
+            if not cols.has_text[q]:
+                assert np.isnan(matrix[q]).all()
+                continue
+            former = (cols.unit_text * cols.unit_text[q]).sum(axis=1)
+            assert np.array_equal(np.isnan(matrix[q]), ~cols.has_text)
+            assert np.abs(matrix[q] - former)[cols.has_text].max() <= 1e-15
+
+
+def _one_video_index() -> CorpusIndex:
+    return CorpusIndex(ids=["solo"], ddc_vectors={}, doc_vectors={
+        "solo": DocVector("solo", np.array([0.3, -0.4]), 1, 0)})
+
+
+class TestStreamedMatrix:
+    """``lodrec matrix`` formats and writes one block of kernel rows at a
+    time; neither the bytes nor the matrix depend on the block size."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _with_ghost(random_micro_index(random.Random(89))),
+        lambda: _with_ghost(hierarchy_index()),
+        _one_video_index,
+    ], ids=["micro_ghost", "hierarchy_ghost", "one_video"])
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch, make):
+        index = make()
+        n = len(index)
+        for method in METHODS:
+            dense = kernel_matrix(index, method)
+            expected = cell_by_cell_tsv(index.ids, dense)
+            assert expected.startswith("\t" + "\t".join(index.ids) + "\n")
+            for rows in sorted({1, 2, 3, n - 1, n, n + 1} - {0}):
+                monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", rows)
+                sizes = [len(b) for b in matrix_blocks(index, method)]
+                assert sizes == [min(rows, n - s) for s in range(0, n, rows)]
+                assert np.array_equal(
+                    _bits(similarity_matrix(index, method)), _bits(dense))
+                assert matrix_tsv(index, method) == expected
+
+    def test_each_block_is_written_before_the_next_is_scored(
+            self, monkeypatch):
+        index = _with_ghost(random_micro_index(random.Random(101)))
+        monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", 2)
+        kernel, scored = engine._method_scores, []
+
+        def counting_kernel(index, q, method):
+            scored.append(q)
+            return kernel(index, q, method)
+
+        monkeypatch.setattr(engine, "_method_scores", counting_kernel)
+        writes = []
+
+        class Out:
+            def write(self, text):
+                writes.append((len(scored), text.count("\n")))
+
+        write_matrix_tsv(index, Out())
+        assert writes[0] == (0, 1)  # the header, before any row is scored
+        written = 0
+        for n_scored, lines in writes[1:]:
+            written += lines
+            assert lines <= 2 and n_scored == written
+        assert written == len(index)
+
+    def test_empty_index(self):
+        index = CorpusIndex(ids=[], doc_vectors={}, ddc_vectors={})
+        assert similarity_matrix(index).shape == (0, 0)
+        assert matrix_tsv(index) == "\t\n"

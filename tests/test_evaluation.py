@@ -18,6 +18,8 @@ from lodrec import (
     aggregate,
     build_report,
     chi_square,
+    engine,
+    evaluation,
     load_ratings,
     relative_deltas,
 )
@@ -102,6 +104,10 @@ class TestAggregate:
         table = aggregate([record(rating=r) for r in (0, 1, 2, 3)])
         assert tuple(table.row("with_lod")) == (1, 1, 1, 1)
         assert tuple(table.row("without_lod")) == (0, 0, 0, 0)
+
+    def test_methods_are_the_engine_constants(self):
+        assert evaluation.METHODS is engine.METHODS
+        assert evaluation.METHODS == ("with_lod", "without_lod")  # row order
 
     def test_column_order_is_high_to_none(self):
         table = aggregate([record(rating=3), record(rating=3),
