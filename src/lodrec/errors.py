@@ -13,7 +13,13 @@ class ParseError(LodrecError):
     def __init__(self, path, line_no: int, message: str):
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
         super().__init__(f"{self.path}:{line_no}: {message}")
+
+    def __reduce__(self):
+        # Pickled as its constructor's arguments, so that an error raised
+        # in a worker process reaches the caller whole.
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class DuplicateIdError(LodrecError):

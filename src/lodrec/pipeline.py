@@ -175,10 +175,15 @@ def run_index(config: PipelineConfig) -> dict:
 
     stopwords = (load_stoplist(config.stoplist_path)
                  if config.stoplist_path else None)
-    used = {tok for r in corpus.records for tok in video_tokens(r, stopwords)}
+    # Each video's tokens, held through the table load as references to
+    # one string per distinct token.
+    used: dict[str, str] = {}
+    tokens = [[used.setdefault(tok, tok) for tok in video_tokens(r, stopwords)]
+              for r in corpus.records]
     table = load_embeddings(config.embeddings_path,
-                            limit=config.limit_embeddings, keep=used)
-    doc_vectors = [embed_video(r, table, stopwords) for r in corpus.records]
+                            limit=config.limit_embeddings, keep=set(used))
+    doc_vectors = [embed_video(r, table, tokens=toks)
+                   for r, toks in zip(corpus.records, tokens)]
 
     config.index_dir.mkdir(parents=True, exist_ok=True)
     save_vocabulary(vocab, config.index_dir / VOCABULARY_FILE)
@@ -197,6 +202,7 @@ def run_index(config: PipelineConfig) -> dict:
         "videos_without_codes": sum(1 for v in ddc_vectors if not v.weights),
         "degenerate_doc_vectors": sum(1 for v in doc_vectors if v.degenerate),
         "embedding_dim": table.dim,
+        "embedding_rows_read": table.rows_read,
         "index_dir": str(config.index_dir),
     }
 

@@ -22,6 +22,7 @@ from lodrec import (
     run_index,
     run_ingest,
 )
+from lodrec import embeddings, pipeline
 from lodrec.pipeline import (
     CORPUS_FILE,
     DDC_VECTORS_FILE,
@@ -158,6 +159,7 @@ class TestIngestAndIndex:
         assert summary["videos_without_codes"] == 0
         assert summary["degenerate_doc_vectors"] == 0
         assert summary["embedding_dim"] == 16
+        assert summary["embedding_rows_read"] == 83
         assert len(summary["fingerprint"]) == 16
 
     def test_index_before_ingest(self, config):
@@ -189,6 +191,20 @@ class TestIngestAndIndex:
         assert len(calls) == 1
         assert summary["fingerprint"] == \
             (config.index_dir / DDC_VECTORS_FILE).read_text().split()[1]
+
+    def test_videos_tokenized_once_per_build(self, config, monkeypatch):
+        calls = []
+        original = embeddings.video_tokens
+
+        def counted(video, stopwords=None):
+            calls.append(video.id)
+            return original(video, stopwords)
+
+        monkeypatch.setattr(embeddings, "video_tokens", counted)
+        monkeypatch.setattr(pipeline, "video_tokens", counted)
+        run_ingest(config)
+        run_index(config)
+        assert sorted(calls) == sorted(load_index(config).ids)
 
     def test_mode_changes_fingerprint(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -230,8 +246,11 @@ class TestEmbeddingTableInBuild:
         assert len(padded) == 1 + len(rows) + len(filler)
         table = tmp_path / "padded.txt"
         table.write_text("\n".join(padded) + "\n", encoding="utf-8")
-        assert run_index(override_config(config,
-                                         embeddings_path=table)) == summary
+        padded_summary = run_index(override_config(config,
+                                                   embeddings_path=table))
+        assert padded_summary.pop("embedding_rows_read") == \
+            summary.pop("embedding_rows_read") + len(filler)
+        assert padded_summary == summary
         for name, before in artifacts.items():
             assert (config.index_dir / name).read_bytes() == before, name
 
