@@ -14,7 +14,6 @@ from lodrec import (
     fragment_code,
     load_corpus,
     load_snapshot,
-    with_language_filter,
 )
 
 TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
@@ -28,7 +27,7 @@ def main() -> None:
         print(f"  {record.id} [{record.language}] {record.title!r}")
         print(f"    tags: {tags}")
 
-    german = with_language_filter(corpus, "de")
+    german = load_corpus(TOY / "corpus.jsonl", language_filter="de")
     print(f"\nlanguage filter 'de' keeps {len(german)} of {len(corpus)} "
           f"(dropped {german.dropped_count})")
 

@@ -6,62 +6,18 @@ tf-idf vectors of hierarchical classification-code fragments obtained
 by resolving tags against an authority-file snapshot.  Both routes are
 combined into a single score with a deterministic fallback when one
 side is undefined.
+
+The top level exports what the demos, the tools and the README use:
+the pipeline calls, scoring and recommendation, the evaluation steps,
+the types in their signatures, and the errors a caller catches.
+Everything else lives in the submodules.
 """
 
-from .authority import (
-    AuthorityEntry,
-    AuthoritySnapshot,
-    EnrichedVideo,
-    ResolvedTag,
-    enrich,
-    enrich_video,
-    load_snapshot,
-    normalize_surface,
-)
-from .corpus import (
-    PROVENANCES,
-    Corpus,
-    Tag,
-    VideoRecord,
-    load_corpus,
-    save_corpus,
-    with_language_filter,
-)
-from .ddc import (
-    DEFAULT_MODE,
-    MODES,
-    ZERO_PRESERVING,
-    ZERO_STRIPPING,
-    DdcCode,
-    Fragment,
-    fragment_code,
-    parse_code,
-)
-from .ddc_vectors import (
-    DdcVector,
-    FragmentVocabulary,
-    build_vocabulary,
-    cosine,
-    ddc_similarity,
-    load_ddc_vectors,
-    load_vocabulary_fingerprint,
-    save_ddc_vectors,
-    save_vocabulary,
-    term_frequency,
-    vectorize,
-)
-from .embeddings import (
-    DocVector,
-    EmbeddingTable,
-    embed_video,
-    load_embeddings,
-    load_stoplist,
-    save_embeddings,
-    text_similarity,
-    tokenize,
-)
+from .authority import enrich, load_snapshot
+from .corpus import load_corpus
+from .ddc import ZERO_PRESERVING, fragment_code
+from .embeddings import tokenize
 from .engine import (
-    DEFAULT_WEIGHTS,
     METHODS,
     WITH_LOD,
     WITHOUT_LOD,
@@ -70,24 +26,11 @@ from .engine import (
     SimilarityScore,
     combined_similarity,
     recommend,
-    similarity_matrix,
     write_matrix_tsv,
 )
-from .errors import (
-    DimensionMismatchError,
-    DuplicateIdError,
-    EvaluationError,
-    LodrecError,
-    ParseError,
-    UnknownIdError,
-    VocabularyMismatchError,
-)
+from .errors import LodrecError, ParseError, UnknownIdError
 from .evaluation import (
     LEVELS,
-    RATING_TO_LEVEL,
-    ChiSquareResult,
-    ContingencyTable,
-    RatingRecord,
     aggregate,
     build_report,
     chi_square,
@@ -103,88 +46,39 @@ from .pipeline import (
     run_index,
     run_ingest,
 )
-from .special import regularized_gamma_p, regularized_gamma_q
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuthorityEntry",
-    "AuthoritySnapshot",
-    "ChiSquareResult",
     "ConfigError",
-    "ContingencyTable",
-    "Corpus",
     "CorpusIndex",
-    "DEFAULT_MODE",
-    "DEFAULT_WEIGHTS",
-    "DdcCode",
-    "DdcVector",
-    "DimensionMismatchError",
-    "DocVector",
-    "DuplicateIdError",
-    "EmbeddingTable",
-    "EnrichedVideo",
-    "EvaluationError",
-    "Fragment",
-    "FragmentVocabulary",
     "LEVELS",
     "LodrecError",
     "METHODS",
-    "RATING_TO_LEVEL",
-    "MODES",
     "ParseError",
     "PipelineConfig",
-    "PROVENANCES",
-    "RatingRecord",
     "Recommendation",
-    "ResolvedTag",
     "SimilarityScore",
-    "Tag",
     "UnknownIdError",
-    "VideoRecord",
-    "VocabularyMismatchError",
     "WITH_LOD",
     "WITHOUT_LOD",
     "ZERO_PRESERVING",
-    "ZERO_STRIPPING",
     "aggregate",
     "build_report",
-    "build_vocabulary",
     "chi_square",
     "combined_similarity",
-    "cosine",
-    "ddc_similarity",
-    "embed_video",
     "enrich",
-    "enrich_video",
     "fragment_code",
     "load_config",
     "load_corpus",
-    "load_ddc_vectors",
-    "load_embeddings",
     "load_index",
     "load_ratings",
     "load_snapshot",
-    "load_stoplist",
-    "load_vocabulary_fingerprint",
-    "normalize_surface",
     "override_config",
-    "parse_code",
     "recommend",
-    "regularized_gamma_p",
-    "regularized_gamma_q",
     "relative_deltas",
     "run_index",
     "run_ingest",
-    "save_corpus",
-    "save_ddc_vectors",
-    "save_embeddings",
-    "save_vocabulary",
-    "similarity_matrix",
-    "term_frequency",
-    "text_similarity",
     "tokenize",
-    "vectorize",
-    "with_language_filter",
     "write_matrix_tsv",
 ]

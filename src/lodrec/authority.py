@@ -60,10 +60,6 @@ class EnrichedVideo:
     resolved: list[ResolvedTag]
     unresolved_count: int
 
-    def codes(self) -> list[DdcCode]:
-        """All codes over all resolved tags, with multiplicity."""
-        return [c for r in self.resolved for c in r.ddc_codes]
-
 
 def load_snapshot(path) -> AuthoritySnapshot:
     path = Path(path)

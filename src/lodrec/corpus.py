@@ -5,9 +5,11 @@ One record per line, UTF-8:
     {"id": str, "language": str, "title": str, "abstract": str,
      "tags": [{"surface": str, "provenance": str}]}
 
-Tags may additionally carry a ``gnd_id`` key once an authority link is
-known.  JSON-lines is the canonical interchange format; the N-Triples
-subset reader in :mod:`lodrec.ntriples` produces the same records.
+Tags may additionally carry a ``gnd_id`` string once an authority link
+is known.  A field of another type is refused with a ``ParseError``
+naming the file and line.  JSON-lines is the canonical interchange
+format; the N-Triples subset reader in :mod:`lodrec.ntriples` produces
+the same records.
 """
 
 from __future__ import annotations
@@ -74,9 +76,19 @@ def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
             path, line_no,
             f"language must be a two-letter lowercase code, got {language!r}",
         )
+    for key in ("title", "abstract"):
+        if not isinstance(obj[key], str):
+            raise ParseError(path, line_no, f"{key} must be a string")
+    if not isinstance(obj["tags"], list):
+        raise ParseError(path, line_no, "tags must be a list of objects")
     tags = []
     for t in obj["tags"]:
-        surface = t.get("surface", "").strip()
+        if not isinstance(t, dict):
+            raise ParseError(path, line_no, "tags must be a list of objects")
+        surface = t.get("surface", "")
+        if not isinstance(surface, str):
+            raise ParseError(path, line_no, "tag surface must be a string")
+        surface = surface.strip()
         if not surface:
             raise ParseError(path, line_no, "tag surface empty after trimming")
         provenance = t.get("provenance")
@@ -86,13 +98,16 @@ def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
                 f"unknown provenance value {provenance!r} "
                 f"(expected one of {', '.join(PROVENANCES)})",
             )
+        gnd_id = t.get("gnd_id")
+        if "gnd_id" in t and not isinstance(gnd_id, str):
+            raise ParseError(path, line_no, "tag gnd_id must be a string")
         tags.append(Tag(surface=surface, provenance=provenance,
-                        gnd_id=t.get("gnd_id")))
+                        gnd_id=gnd_id))
     return VideoRecord(
         id=vid,
         language=language,
-        title=str(obj["title"]),
-        abstract=str(obj["abstract"]),
+        title=obj["title"],
+        abstract=obj["abstract"],
         tags=tuple(tags),
     )
 
@@ -171,14 +186,7 @@ def save_corpus(corpus: Corpus, path) -> None:
             f.write("\n")
 
 
-def with_language_filter(corpus: Corpus, language: str) -> Corpus:
-    """Filtered copy; filtering an already-filtered corpus drops nothing."""
-    kept = [r for r in corpus.records if r.language == language]
-    return Corpus(records=kept, language_filter=language,
-                  dropped_count=len(corpus.records) - len(kept))
-
-
 __all__ = [
     "Corpus", "Tag", "VideoRecord", "PROVENANCES",
-    "load_corpus", "save_corpus", "record_to_obj", "with_language_filter",
+    "load_corpus", "save_corpus", "record_to_obj",
 ]

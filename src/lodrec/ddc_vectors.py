@@ -15,11 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .authority import EnrichedVideo
 from .ddc import DEFAULT_MODE, Fragment, fragment_code
-from .errors import DimensionMismatchError, ParseError, VocabularyMismatchError
+from .errors import ParseError
 
 
 @dataclass
@@ -102,14 +100,6 @@ def build_vocabulary(enriched: list[EnrichedVideo],
     )
 
 
-def term_frequency(video: EnrichedVideo, fragment: Fragment,
-                   vocab: FragmentVocabulary) -> int:
-    """Occurrences of a fragment over the video's (tag, code) pairs."""
-    if fragment not in vocab.index:
-        raise KeyError(f"fragment {fragment} not in vocabulary")
-    return _video_fragment_counts(video, vocab.mode)[fragment]
-
-
 def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary,
               fingerprint: str | None = None) -> DdcVector:
     """tf-idf weights for every vocabulary fragment the video contains.
@@ -132,55 +122,6 @@ def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary,
     return DdcVector(video_id=video.video.id, weights=weights,
                      fingerprint=fingerprint or vocab.fingerprint(),
                      unknown_fragments=unknown)
-
-
-def cosine(a, b) -> float | None:
-    """Cosine similarity of two vectors, sparse (dict) or dense.
-
-    Returns None (undefined) if either vector has zero norm; that state
-    is deliberately distinct from a similarity of 0.  Dense inputs must
-    have equal length.  Summation order is fixed (sorted dimensions for
-    sparse input) so the result is symmetric and reproducible bit for
-    bit.
-    """
-    if isinstance(a, dict) and isinstance(b, dict):
-        return _cosine_sparse(a, b)
-    if isinstance(a, dict) or isinstance(b, dict):
-        raise TypeError("cannot mix sparse and dense vectors")
-    return _cosine_dense(np.asarray(a, dtype=float),
-                         np.asarray(b, dtype=float))
-
-
-def _cosine_sparse(a: dict[int, float], b: dict[int, float]) -> float | None:
-    norm_a = math.sqrt(math.fsum(a[d] * a[d] for d in sorted(a)))
-    norm_b = math.sqrt(math.fsum(b[d] * b[d] for d in sorted(b)))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return None
-    shared = sorted(set(a) & set(b))
-    dot = math.fsum(a[d] * b[d] for d in shared)
-    return dot / (norm_a * norm_b)
-
-
-def _cosine_dense(a: np.ndarray, b: np.ndarray) -> float | None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"vector dimensions differ: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return None
-    return float(np.dot(a, b)) / (norm_a * norm_b)
-
-
-def ddc_similarity(v_i: DdcVector, v_j: DdcVector) -> float | None:
-    """Cosine of two sparse vectors; None if either carries no evidence."""
-    if v_i.fingerprint != v_j.fingerprint:
-        raise VocabularyMismatchError(
-            f"vectors built against different vocabularies: "
-            f"{v_i.fingerprint} vs {v_j.fingerprint}")
-    if not v_i.weights or not v_j.weights:
-        return None
-    return _cosine_sparse(v_i.weights, v_j.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +183,6 @@ def load_ddc_vectors(path) -> tuple[str, list[DdcVector]]:
 
 __all__ = [
     "DdcVector", "FragmentVocabulary",
-    "build_vocabulary", "cosine", "ddc_similarity", "term_frequency",
-    "vectorize", "save_vocabulary", "load_vocabulary_fingerprint",
-    "save_ddc_vectors", "load_ddc_vectors",
+    "build_vocabulary", "vectorize", "save_vocabulary",
+    "load_vocabulary_fingerprint", "save_ddc_vectors", "load_ddc_vectors",
 ]

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import VideoRecord
-from .ddc_vectors import cosine
-from .errors import DimensionMismatchError, ParseError
+from .errors import ParseError
 
 # Maximal runs of alphanumeric characters; underscore is a boundary.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -361,14 +360,6 @@ def load_embeddings(path, limit: int | None = None,
                           rows_read=len(seen) + duplicates)
 
 
-def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Write the text layout back out, preserving full float precision."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{len(table.vectors)} {table.dim}\n")
-        for token, vec in table.vectors.items():
-            f.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
-
-
 def load_stoplist(path) -> set[str]:
     """One token per line, normalized like tokenize; # comments allowed."""
     stop = set()
@@ -439,16 +430,6 @@ def embed_video(video: VideoRecord, table: EmbeddingTable,
                      tokens_used=len(found), tokens_missed=missed)
 
 
-def text_similarity(a: DocVector, b: DocVector) -> float | None:
-    """Cosine of two mean vectors; None if either is degenerate."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(
-            f"document vectors differ in dimension: {a.dim} vs {b.dim}")
-    if a.degenerate or b.degenerate:
-        return None
-    return cosine(a.vector, b.vector)
-
-
 # ---------------------------------------------------------------------------
 # Cache file: video_id<TAB>tokens_used<TAB>tokens_missed<TAB>v1,...,v_dim
 
@@ -492,6 +473,5 @@ def load_doc_vectors(path) -> list[DocVector]:
 __all__ = [
     "DocVector", "EmbeddingTable",
     "embed_video", "load_doc_vectors", "load_embeddings", "load_stoplist",
-    "save_doc_vectors", "save_embeddings", "text_similarity", "tokenize",
-    "video_tokens",
+    "save_doc_vectors", "tokenize", "video_tokens",
 ]

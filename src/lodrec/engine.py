@@ -222,7 +222,9 @@ class CorpusIndex:
             raise UnknownIdError(f"unknown video id: {video_id!r}") from None
 
 
-def _check_weights(weights: tuple[float, float]) -> tuple[float, float]:
+def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
+    """``weights`` if both are finite and non-negative with a positive
+    sum; ValueError otherwise."""
     w_text, w_ddc = weights
     if not (math.isfinite(w_text) and math.isfinite(w_ddc)) \
             or w_text < 0 or w_ddc < 0 or w_text + w_ddc <= 0:
@@ -238,7 +240,7 @@ def _score_row(cols: _Columns, q: int, weights: tuple[float, float]):
     Fallback rule: if exactly one branch is undefined the combined score
     equals the defined branch; if both are undefined it is undefined.
     """
-    w_text, w_ddc = _check_weights(weights)
+    w_text, w_ddc = check_weights(weights)
     n = len(cols.has_text)
     s_text = np.full(n, np.nan)
     if cols.has_text[q]:
@@ -364,6 +366,6 @@ def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
 __all__ = [
     "METHODS", "WITH_LOD", "WITHOUT_LOD", "DEFAULT_WEIGHTS",
     "MATRIX_BLOCK_ROWS", "CorpusIndex", "Recommendation", "SimilarityScore",
-    "combined_similarity", "matrix_blocks", "recommend", "similarity_matrix",
-    "write_matrix_tsv",
+    "check_weights", "combined_similarity", "matrix_blocks", "recommend",
+    "similarity_matrix", "write_matrix_tsv",
 ]

@@ -17,7 +17,6 @@ vocabulary they were built against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .embeddings import (
     save_doc_vectors,
     video_tokens,
 )
-from .engine import CorpusIndex
+from .engine import DEFAULT_WEIGHTS, CorpusIndex, check_weights
 from .errors import LodrecError, VocabularyMismatchError
 
 CORPUS_FILE = "corpus.jsonl"
@@ -62,18 +61,17 @@ class PipelineConfig:
     corpus_format: str = "jsonl"
     language: str | None = None
     fragmentation_mode: str = ddc.DEFAULT_MODE
-    w_text: float = 0.5
-    w_ddc: float = 0.5
+    w_text: float = DEFAULT_WEIGHTS[0]
+    w_ddc: float = DEFAULT_WEIGHTS[1]
     k: int = 10
     limit_embeddings: int | None = None
     stoplist_path: Path | None = None
 
     def validate(self) -> None:
-        if not (math.isfinite(self.w_text) and math.isfinite(self.w_ddc)) \
-                or self.w_text < 0 or self.w_ddc < 0 \
-                or self.w_text + self.w_ddc <= 0:
-            raise ConfigError(
-                "weights must be finite and non-negative with a positive sum")
+        try:
+            check_weights(self.weights)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.limit_embeddings is not None and self.limit_embeddings < 1:
@@ -91,6 +89,8 @@ class PipelineConfig:
 
 _PATH_KEYS = {"corpus_path", "snapshot_path", "embeddings_path",
               "index_dir", "stoplist_path"}
+_NUMBER_KEYS = {"w_text": float, "w_ddc": float,
+                "k": int, "limit_embeddings": int}
 _REQUIRED_KEYS = ("corpus_path", "snapshot_path", "embeddings_path")
 
 
@@ -99,7 +99,7 @@ def load_config(path) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     base = path.resolve().parent
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             stripped = line.strip()
@@ -108,24 +108,35 @@ def load_config(path) -> PipelineConfig:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in raw:
+                raise ConfigError(
+                    f"{path}:{line_no}: {key} is set twice, "
+                    f"first on line {raw[key][0]}")
+            raw[key] = (line_no, value.strip())
 
     for key in _REQUIRED_KEYS:
-        if key not in raw or not raw[key]:
+        if key not in raw or not raw[key][1]:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
     kwargs: dict = {}
-    for key, value in raw.items():
+    for key, (line_no, value) in raw.items():
         if key in _PATH_KEYS:
             kwargs[key] = (base / value).resolve() if value else None
-        elif key in ("w_text", "w_ddc"):
-            kwargs[key] = float(value)
-        elif key in ("k", "limit_embeddings"):
-            kwargs[key] = int(value)
+        elif key in _NUMBER_KEYS:
+            kind = _NUMBER_KEYS[key]
+            try:
+                kwargs[key] = kind(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{line_no}: {key}: expected "
+                    f"{'an integer' if kind is int else 'a number'}, "
+                    f"got {value!r}") from None
         elif key in ("language", "fragmentation_mode", "corpus_format"):
             kwargs[key] = value
         else:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
+            raise ConfigError(
+                f"{path}:{line_no}: unknown config key {key!r}")
     config = PipelineConfig(**kwargs)
     config.validate()
     return config

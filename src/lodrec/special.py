@@ -1,9 +1,10 @@
-"""Regularized incomplete gamma functions.
+"""The upper regularized incomplete gamma function Q(a, x).
 
-Series representation for x < a + 1, Lentz continued fraction otherwise;
-the classic dependency-free pairing.  Converges to near machine
-precision for the argument ranges a chi-square test produces, well
-inside the 1e-8 absolute accuracy the p-value needs.
+For x < a + 1, Q is one minus the power series of the lower function P;
+otherwise it is the Lentz continued fraction: the classic
+dependency-free pairing.  Converges to near machine precision for the
+argument ranges a chi-square test produces, well inside the 1e-8
+absolute accuracy the p-value needs.
 """
 
 from __future__ import annotations
@@ -52,19 +53,6 @@ def _gamma_q_cf(a: float, x: float) -> float:
     raise ArithmeticError("incomplete gamma continued fraction did not converge")
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError("shape parameter a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_cf(a, x)
-
-
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0.0:
@@ -78,4 +66,4 @@ def regularized_gamma_q(a: float, x: float) -> float:
     return _gamma_q_cf(a, x)
 
 
-__all__ = ["regularized_gamma_p", "regularized_gamma_q"]
+__all__ = ["regularized_gamma_q"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import random
 import shutil
 import string
@@ -12,25 +14,29 @@ import pytest
 
 from lodrec import (
     CorpusIndex,
-    DocVector,
-    EmbeddingTable,
-    EnrichedVideo,
-    ResolvedTag,
-    Tag,
-    VideoRecord,
-    build_vocabulary,
-    embed_video,
+    combined_similarity,
     engine,
     load_corpus,
     load_snapshot,
-    parse_code,
-    vectorize,
 )
+from lodrec.authority import EnrichedVideo, ResolvedTag
+from lodrec.corpus import Tag, VideoRecord
+from lodrec.ddc import parse_code
+from lodrec.ddc_vectors import DdcVector, build_vocabulary, vectorize
+from lodrec.embeddings import DocVector, EmbeddingTable, embed_video
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
 TOY = DATA / "toy"
 RATINGS_CSV = DATA / "ratings_user_study.csv"
+
+
+def checkout_env():
+    """Subprocess environment that imports lodrec from this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -202,3 +208,42 @@ def cell_by_cell_tsv(ids: list[str], matrix: np.ndarray) -> str:
         lines.append(vid + "\t" + "\t".join(
             "" if x != x else repr(x) for x in row.tolist()))
     return "\n".join(lines) + "\n"
+
+
+# -- reference cosines, the oracles for the kernel, and the kernel on raw
+# -- vectors; the package has no scalar cosine of its own
+
+def sparse_cosine(a: dict[int, float], b: dict[int, float]) -> float | None:
+    """Cosine of two sparse vectors with exactly rounded sums (``fsum``)
+    over ascending dimensions; None if either has zero norm."""
+    norm_a = math.sqrt(math.fsum(a[d] * a[d] for d in sorted(a)))
+    norm_b = math.sqrt(math.fsum(b[d] * b[d] for d in sorted(b)))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return None
+    dot = math.fsum(a[d] * b[d] for d in sorted(set(a) & set(b)))
+    return dot / (norm_a * norm_b)
+
+
+def dense_cosine(a, b) -> float | None:
+    """Cosine of two dense vectors of equal length; None if either has
+    zero norm."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return None
+    return float(np.dot(a, b)) / (norm_a * norm_b)
+
+
+def kernel_cosines(text=None, codes=None) -> tuple:
+    """The kernel's ``(s_text, s_ddc)`` for two videos made from raw
+    vectors: ``text`` a pair of dense doc vectors, ``codes`` a pair of
+    sparse ``{dim: weight}`` maps of one vocabulary.  A route not given
+    has no evidence."""
+    text = text if text is not None else (np.zeros(1), np.zeros(1))
+    docs = {vid: DocVector(vid, np.asarray(v, dtype=float), 1, 0)
+            for vid, v in zip("ij", text)}
+    ddc = {vid: DdcVector(vid, dict(w), "fp")
+           for vid, w in zip("ij", codes or ())}
+    s = combined_similarity("i", "j", docs, ddc)
+    return s.s_text, s.s_ddc

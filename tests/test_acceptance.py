@@ -22,29 +22,29 @@ from lodrec import (
     WITH_LOD,
     WITHOUT_LOD,
     aggregate,
-    build_vocabulary,
     chi_square,
     combined_similarity,
-    cosine,
-    embed_video,
     load_config,
     load_ratings,
     recommend,
-    regularized_gamma_q,
     relative_deltas,
     run_index,
     run_ingest,
 )
 from lodrec.corpus import VideoRecord
+from lodrec.ddc_vectors import build_vocabulary
+from lodrec.embeddings import embed_video
 from lodrec.pipeline import (
     CORPUS_FILE,
     DDC_VECTORS_FILE,
     DOC_VECTORS_FILE,
     VOCABULARY_FILE,
 )
+from lodrec.special import regularized_gamma_q
 
 from conftest import (
     RATINGS_CSV,
+    dense_cosine,
     hierarchy_index,
     make_enriched,
     random_embedding_table,
@@ -115,9 +115,9 @@ def brute_force_ranking(index, query, method):
 
 
 def test_acceptance_4_sparse_cosine_and_ranking_oracles(report):
-    with report(4, "on 100 random micro-corpora the sparse cosine matches "
-                   "a dense oracle within 1e-10 and top-k matches a "
-                   "brute-force sort exactly"):
+    with report(4, "on 100 random micro-corpora the kernel's sparse code "
+                   "cosine matches a dense oracle within 1e-10 and top-k "
+                   "matches a brute-force sort exactly"):
         rng = random.Random(103)
         for _ in range(100):
             index = random_micro_index(rng)
@@ -132,10 +132,11 @@ def test_acceptance_4_sparse_cosine_and_ranking_oracles(report):
 
             for i in index.ids:
                 for j in index.ids:
-                    sparse = cosine(index.ddc_vectors[i].weights,
-                                    index.ddc_vectors[j].weights)
-                    ref = cosine(dense(index.ddc_vectors[i]),
-                                 dense(index.ddc_vectors[j]))
+                    sparse = combined_similarity(
+                        i, j, index.doc_vectors, index.ddc_vectors,
+                        index.weights).s_ddc
+                    ref = dense_cosine(dense(index.ddc_vectors[i]),
+                                       dense(index.ddc_vectors[j]))
                     if sparse is None:
                         assert ref is None
                     else:
@@ -164,8 +165,8 @@ def test_acceptance_5_hierarchy_depth_sensitivity(report):
 
 def test_acceptance_6_embedding_determinism(report):
     with report(6, "doc vectors reproduce single-token embeddings exactly, "
-                   "are bit-identical under token permutation, and cosines "
-                   "stay within [-1, 1] + 1e-12"):
+                   "are bit-identical under token permutation, and the "
+                   "kernel's text cosines stay within [-1, 1] + 1e-12"):
         rng = random.Random(107)
         table = random_embedding_table(rng, dim=8, n_tokens=20)
         tokens = sorted(table.vectors)
@@ -191,8 +192,8 @@ def test_acceptance_6_embedding_determinism(report):
                 id="c", language="de",
                 title=" ".join(rng.choices(tokens, k=5)), abstract="",
                 tags=()), table)
-            from lodrec import text_similarity
-            s = text_similarity(a, other)
+            s = combined_similarity("a", "c", {"a": a, "c": other},
+                                    {}).s_text
             assert s is not None and abs(s) <= 1.0 + 1e-12
 
 

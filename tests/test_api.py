@@ -1,0 +1,53 @@
+"""The top-level API: it holds what the demos, tools and README import,
+and the demos run against it."""
+
+from __future__ import annotations
+
+import ast
+import re
+import subprocess
+import sys
+
+import pytest
+
+import lodrec
+
+from conftest import REPO, checkout_env
+
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+# Kept at the top level although no caller imports them by name: the
+# types in the signatures of exported functions, and the errors a caller
+# catches.
+SIGNATURE_TYPES = {"CorpusIndex", "Recommendation", "SimilarityScore",
+                   "PipelineConfig"}
+ERRORS = {"LodrecError", "ParseError", "ConfigError", "UnknownIdError"}
+
+
+def names_imported_from_lodrec(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "lodrec"
+            and node.level == 0 for alias in node.names}
+
+
+def caller_sources() -> list[str]:
+    """The demos, the tools and the README's Python code blocks."""
+    scripts = DEMOS + sorted((REPO / "tools").glob("*.py"))
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return ([p.read_text(encoding="utf-8") for p in scripts]
+            + re.findall(r"```python\n(.*?)```", readme, re.S))
+
+
+def test_all_is_what_callers_import():
+    used = set().union(*map(names_imported_from_lodrec, caller_sources()))
+    assert len(set(lodrec.__all__)) == len(lodrec.__all__)
+    assert set(lodrec.__all__) == used | SIGNATURE_TYPES | ERRORS
+    for name in lodrec.__all__:
+        assert getattr(lodrec, name) is not None, name
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                            text=True, timeout=60, env=checkout_env())
+    assert result.returncode == 0, result.stderr

@@ -6,15 +6,9 @@ import unicodedata
 
 import pytest
 
-from lodrec import (
-    ParseError,
-    Tag,
-    VideoRecord,
-    enrich,
-    enrich_video,
-    load_snapshot,
-    normalize_surface,
-)
+from lodrec import ParseError, enrich, load_snapshot
+from lodrec.authority import enrich_video, normalize_surface
+from lodrec.corpus import Tag, VideoRecord
 
 from conftest import TOY
 
@@ -113,9 +107,9 @@ class TestEnrich:
         assert len(enriched.resolved) == 1
         assert enriched.unresolved_count == 1
 
-    def test_codes_helper_flattens_with_multiplicity(self, toy_snapshot):
+    def test_resolved_codes_keep_multiplicity(self, toy_snapshot):
         enriched = enrich_video(video(["SPARQL", "Datenbank"]), toy_snapshot)
-        assert [c.raw for c in enriched.codes()] == [
+        assert [c.raw for r in enriched.resolved for c in r.ddc_codes] == [
             "006.74", "005.74", "005.133", "005.74"]
 
     def test_enrich_does_not_mutate_corpus(self, toy_corpus, toy_snapshot):

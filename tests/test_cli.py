@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 
@@ -18,6 +17,7 @@ from conftest import (
     REPO,
     TOY,
     cell_by_cell_tsv,
+    checkout_env,
     kernel_matrix,
     write_toy_config,
 )
@@ -273,6 +273,25 @@ class TestExitCodes:
                                "--bogus")
         assert code == EXIT_USAGE
 
+    def test_unparsable_config_value_is_usage_error(self, capsys, tmp_path):
+        config = str(write_toy_config(tmp_path, k="abc"))
+        code, _, err = run_cli(capsys, "ingest", "--config", config)
+        assert code == EXIT_USAGE
+        assert "config.txt:" in err and "k: expected an integer" in err
+
+    def test_malformed_corpus_record_is_data_error(self, capsys, toy_run,
+                                                   tmp_path):
+        corpus = toy_run / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["tags"] = ["foo"]
+        lines[1] = json.dumps(record, ensure_ascii=False) + "\n"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        config = str(write_toy_config(tmp_path, corpus_path=str(corpus)))
+        code, _, err = run_cli(capsys, "ingest", "--config", config)
+        assert code == EXIT_DATA
+        assert "corpus.jsonl:2: tags must be a list of objects" in err
+
     def test_unexpected_exception_is_internal(self, capsys, toy_config,
                                               monkeypatch):
         def boom(config):
@@ -283,14 +302,6 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL
         assert "internal error" in err
         assert "RuntimeError" in err  # traceback kept for diagnosis
-
-
-def checkout_env():
-    """Subprocess environment that imports lodrec from this checkout's src/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def declared_entry_point():

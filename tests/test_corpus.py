@@ -6,16 +6,9 @@ import json
 
 import pytest
 
-from lodrec import (
-    Corpus,
-    DuplicateIdError,
-    ParseError,
-    Tag,
-    VideoRecord,
-    load_corpus,
-    save_corpus,
-)
-from lodrec.corpus import with_language_filter
+from lodrec import ParseError, load_corpus
+from lodrec.corpus import Corpus, Tag, VideoRecord, save_corpus
+from lodrec.errors import DuplicateIdError
 
 from conftest import TOY
 
@@ -100,6 +93,31 @@ class TestValidation:
         with pytest.raises(ParseError, match=message):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tags", ["foo"], "tags must be a list of objects"),
+        ("tags", None, "tags must be a list of objects"),
+        ("tags", {"surface": "x", "provenance": "manual"},
+         "tags must be a list of objects"),
+        ("surface", 5, "tag surface must be a string"),
+        ("provenance", 5, "unknown provenance value 5"),
+        ("gnd_id", None, "tag gnd_id must be a string"),
+        ("gnd_id", 4409615, "tag gnd_id must be a string"),
+        ("title", None, "title must be a string"),
+        ("abstract", 3, "abstract must be a string"),
+    ], ids=["tags-strings", "tags-null", "tags-object", "surface-int",
+            "provenance-int", "gnd_id-null", "gnd_id-int", "title-null",
+            "abstract-int"])
+    def test_field_types_name_file_and_line(self, tmp_path, field, value,
+                                            message):
+        obj = record_obj()
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["tags"][0][field] = value
+        path = write_jsonl(tmp_path / "c.jsonl", [record_obj("v0"), obj])
+        with pytest.raises(ParseError, match=rf"c\.jsonl:2: {message}"):
+            load_corpus(path)
+
     def test_tag_surfaces_trimmed_case_preserved(self, tmp_path):
         obj = record_obj(tags=[{"surface": "  Lineare Algebra ",
                                 "provenance": "ocr"}])
@@ -124,9 +142,11 @@ class TestLanguageFilter:
         assert corpus.dropped_count == 1
         assert all(r.language == "de" for r in corpus.records)
 
-    def test_filtering_is_idempotent(self, toy_corpus):
-        once = with_language_filter(toy_corpus, "de")
-        twice = with_language_filter(once, "de")
+    def test_filtering_is_idempotent(self, tmp_path):
+        # index loads ingest's filtered corpus with the same filter again
+        once = load_corpus(TOY / "corpus.jsonl", language_filter="de")
+        save_corpus(once, tmp_path / "once.jsonl")
+        twice = load_corpus(tmp_path / "once.jsonl", language_filter="de")
         assert twice.records == once.records
         assert twice.dropped_count == 0
 

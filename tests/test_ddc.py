@@ -6,13 +6,8 @@ import random
 
 import pytest
 
-from lodrec import (
-    ZERO_PRESERVING,
-    ZERO_STRIPPING,
-    Fragment,
-    fragment_code,
-    parse_code,
-)
+from lodrec import ZERO_PRESERVING, fragment_code
+from lodrec.ddc import ZERO_STRIPPING, Fragment, parse_code
 
 from conftest import random_code
 

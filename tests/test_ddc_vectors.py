@@ -1,31 +1,31 @@
-"""Fragment vocabulary, tf-idf vectors, and cosine similarity."""
+"""Fragment vocabulary, tf-idf vectors, and their cosine in the kernel."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lodrec import (
-    DimensionMismatchError,
-    Fragment,
-    VocabularyMismatchError,
+from lodrec import combined_similarity, enrich
+from lodrec.ddc import Fragment
+from lodrec.ddc_vectors import (
     build_vocabulary,
-    cosine,
-    ddc_similarity,
-    enrich,
     load_ddc_vectors,
     save_ddc_vectors,
     save_vocabulary,
-    term_frequency,
     vectorize,
 )
-from lodrec.ddc_vectors import _cosine_sparse
-from lodrec.errors import ParseError
+from lodrec.embeddings import DocVector
+from lodrec.errors import (
+    DimensionMismatchError,
+    ParseError,
+    VocabularyMismatchError,
+)
 
-from conftest import make_enriched
+from conftest import kernel_cosines, make_enriched
 
 WORKED_EXAMPLE = ["5@1", "51@2", "57@2", "513@3", "574@3", "5133@4"]
 
@@ -73,26 +73,29 @@ class TestBuildVocabulary:
 
 
 class TestTermFrequency:
+    """A weight divided by its idf is the fragment's occurrence count."""
+
+    @staticmethod
+    def tf(video, fragment, vocab):
+        return vectorize(video, vocab).weights.get(
+            vocab.index[fragment], 0.0) / vocab.idf(fragment)
+
     def test_both_codes_contribute_shared_prefix(self):
-        enriched = make_enriched({"v1": [["005.74", "005.133"]]})
+        enriched = make_enriched({"v1": [["005.74", "005.133"]],
+                                  "v2": [["230"]]})
         vocab = build_vocabulary(enriched)
-        assert term_frequency(enriched[0], Fragment(1, "5"), vocab) == 2
+        assert self.tf(enriched[0], Fragment(1, "5"), vocab) == 2
 
     def test_deep_fragment_counted_once(self):
-        enriched = make_enriched({"v1": [["005.74", "005.133"]]})
+        enriched = make_enriched({"v1": [["005.74", "005.133"]],
+                                  "v2": [["230"]]})
         vocab = build_vocabulary(enriched)
-        assert term_frequency(enriched[0], Fragment(4, "5133"), vocab) == 1
+        assert self.tf(enriched[0], Fragment(4, "5133"), vocab) == 1
 
     def test_video_without_tags_counts_zero(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": []})
         vocab = build_vocabulary(enriched)
-        assert term_frequency(enriched[1], Fragment(1, "5"), vocab) == 0
-
-    def test_unknown_fragment_rejected(self):
-        enriched = make_enriched({"v1": [["005.74"]]})
-        vocab = build_vocabulary(enriched)
-        with pytest.raises(KeyError):
-            term_frequency(enriched[0], Fragment(1, "9"), vocab)
+        assert self.tf(enriched[1], Fragment(1, "5"), vocab) == 0
 
 
 class TestVectorize:
@@ -140,37 +143,45 @@ class TestVectorize:
         assert vector.weights == {}  # known fragments all have df = n_docs
 
 
+def s_ddc(v_i, v_j):
+    """The kernel's code-route cosine of two fragment vectors."""
+    v_i, v_j = replace(v_i, video_id="i"), replace(v_j, video_id="j")
+    docs = {vid: DocVector(vid, np.zeros(1), 0, 0) for vid in "ij"}
+    return combined_similarity("i", "j", docs, {"i": v_i, "j": v_j}).s_ddc
+
+
 class TestCosine:
+    """The kernel's cosines on raw vectors: ``s_text`` dense, ``s_ddc``
+    sparse."""
+
     def test_self_similarity_is_one(self):
         rng = random.Random(5)
         for _ in range(20):
             dense = np.array([rng.uniform(-2, 2) for _ in range(6)])
             sparse = {i: x for i, x in enumerate(dense) if x}
-            assert abs(cosine(dense, dense) - 1.0) < 1e-12
-            assert abs(cosine(sparse, sparse) - 1.0) < 1e-12
+            s_text, s_ddc = kernel_cosines((dense, dense), (sparse, sparse))
+            assert abs(s_text - 1.0) < 1e-12
+            assert abs(s_ddc - 1.0) < 1e-12
 
     def test_orthogonal_vectors(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-        assert cosine({0: 1.0}, {1: 1.0}) == 0.0
+        assert kernel_cosines(([1.0, 0.0], [0.0, 1.0]),
+                              ({0: 1.0}, {1: 1.0})) == (0.0, 0.0)
 
     def test_reference_value(self):
-        value = cosine(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
-        assert value == pytest.approx(0.9746318461970762, abs=1e-12)
-        sparse = cosine({0: 1.0, 1: 2.0, 2: 3.0}, {0: 4.0, 1: 5.0, 2: 6.0})
-        assert sparse == pytest.approx(0.9746318461970762, abs=1e-12)
+        s_text, s_ddc = kernel_cosines(
+            ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+            ({0: 1.0, 1: 2.0, 2: 3.0}, {0: 4.0, 1: 5.0, 2: 6.0}))
+        assert s_text == pytest.approx(0.9746318461970762, abs=1e-12)
+        assert s_ddc == pytest.approx(0.9746318461970762, abs=1e-12)
 
     def test_zero_norm_is_undefined_not_zero(self):
-        assert cosine(np.zeros(3), np.ones(3)) is None
-        assert cosine({}, {0: 1.0}) is None
-        assert cosine({}, {}) is None
+        assert kernel_cosines((np.zeros(3), np.ones(3)))[0] is None
+        assert kernel_cosines(codes=({}, {0: 1.0}))[1] is None
+        assert kernel_cosines(codes=({}, {}))[1] is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            cosine(np.ones(3), np.ones(4))
-
-    def test_sparse_dense_mix_rejected(self):
-        with pytest.raises(TypeError):
-            cosine({0: 1.0}, np.ones(2))
+            kernel_cosines((np.ones(3), np.ones(4)))
 
     def test_sparse_matches_dense_brute_force(self):
         rng = random.Random(17)
@@ -187,14 +198,14 @@ class TestCosine:
                 dense_b[d] = x
             expected = (dense_a @ dense_b) / (
                 np.linalg.norm(dense_a) * np.linalg.norm(dense_b))
-            assert abs(_cosine_sparse(a, b) - expected) < 1e-10
+            assert abs(kernel_cosines(codes=(a, b))[1] - expected) < 1e-10
 
     def test_sparse_summation_is_symmetric_bitwise(self):
         rng = random.Random(23)
         for _ in range(50):
             a = {d: rng.uniform(0.01, 3) for d in rng.sample(range(30), 10)}
             b = {d: rng.uniform(0.01, 3) for d in rng.sample(range(30), 10)}
-            assert _cosine_sparse(a, b) == _cosine_sparse(b, a)
+            assert kernel_cosines(codes=(a, b)) == kernel_cosines(codes=(b, a))
 
 
 class TestDdcSimilarity:
@@ -203,19 +214,19 @@ class TestDdcSimilarity:
                                   "v3": [["530"]]})
         vocab = build_vocabulary(enriched)
         v1, v2 = (vectorize(e, vocab) for e in enriched[:2])
-        assert ddc_similarity(v1, v2) == pytest.approx(1.0, abs=1e-12)
+        assert s_ddc(v1, v2) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
         enriched = make_enriched({"v1": [["230"]], "v2": [["530"]]})
         vocab = build_vocabulary(enriched)
         v1, v2 = (vectorize(e, vocab) for e in enriched)
-        assert ddc_similarity(v1, v2) == 0.0
+        assert s_ddc(v1, v2) == 0.0
 
     def test_empty_vector_is_undefined(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": []})
         vocab = build_vocabulary(enriched)
         v1, v2 = (vectorize(e, vocab) for e in enriched)
-        assert ddc_similarity(v1, v2) is None
+        assert s_ddc(v1, v2) is None
 
     def test_fingerprint_mismatch_rejected(self):
         first = make_enriched({"v1": [["005.74"]], "v2": [["530"]]})
@@ -223,7 +234,7 @@ class TestDdcSimilarity:
         v_first = vectorize(first[0], build_vocabulary(first))
         v_second = vectorize(second[1], build_vocabulary(second))
         with pytest.raises(VocabularyMismatchError):
-            ddc_similarity(v_first, v_second)
+            s_ddc(v_first, v_second)
 
     def test_deep_overlap_beats_shallow_overlap(self):
         # a-pair shares levels 1-3, b-pair only level 1 (which is universal
@@ -234,8 +245,8 @@ class TestDdcSimilarity:
         })
         vocab = build_vocabulary(enriched)
         vectors = {e.video.id: vectorize(e, vocab) for e in enriched}
-        deep = ddc_similarity(vectors["a1"], vectors["a2"])
-        shallow = ddc_similarity(vectors["b1"], vectors["b2"])
+        deep = s_ddc(vectors["a1"], vectors["a2"])
+        shallow = s_ddc(vectors["b1"], vectors["b2"])
         assert deep > shallow
         assert shallow == 0.0
 
@@ -244,8 +255,8 @@ class TestDdcSimilarity:
         vectors = [vectorize(e, vocab) for e in toy_enriched]
         for i, v_i in enumerate(vectors):
             for v_j in vectors[i:]:
-                s = ddc_similarity(v_i, v_j)
-                assert s == ddc_similarity(v_j, v_i)
+                s = s_ddc(v_i, v_j)
+                assert s == s_ddc(v_j, v_i)
                 if s is not None:
                     assert -1e-12 <= s <= 1 + 1e-12
 
@@ -254,10 +265,10 @@ class TestDdcSimilarity:
                               "v2": [["005.133"], ["510"]]})
         tripled = make_enriched({"v1": [["005.74"]] * 3 + [["510"]] * 3,
                                  "v2": [["005.133"]] * 3 + [["510"]] * 3})
-        s_base = ddc_similarity(*(vectorize(e, build_vocabulary(base))
-                                  for e in base))
-        s_tripled = ddc_similarity(*(vectorize(e, build_vocabulary(tripled))
-                                     for e in tripled))
+        s_base = s_ddc(*(vectorize(e, build_vocabulary(base))
+                         for e in base))
+        s_tripled = s_ddc(*(vectorize(e, build_vocabulary(tripled))
+                            for e in tripled))
         assert s_tripled == pytest.approx(s_base, abs=1e-12)
 
 

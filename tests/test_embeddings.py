@@ -14,28 +14,26 @@ import sys
 import threading
 import time
 import unicodedata
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lodrec import (
-    DimensionMismatchError,
+from lodrec import ParseError, combined_similarity, embeddings, tokenize
+from lodrec.corpus import Tag, VideoRecord
+from lodrec.embeddings import (
     DocVector,
     EmbeddingTable,
-    ParseError,
-    Tag,
-    VideoRecord,
     embed_video,
+    load_doc_vectors,
     load_embeddings,
     load_stoplist,
-    save_embeddings,
-    text_similarity,
-    tokenize,
+    save_doc_vectors,
+    video_tokens,
 )
-from lodrec import embeddings
-from lodrec.embeddings import load_doc_vectors, save_doc_vectors, video_tokens
+from lodrec.errors import DimensionMismatchError
 
 from conftest import TOY, random_embedding_table
 
@@ -128,7 +126,9 @@ class TestLoadEmbeddings:
     def test_save_load_round_trip_full_precision(self, tmp_path):
         table = random_embedding_table(random.Random(31), dim=5, n_tokens=8)
         out = tmp_path / "back.txt"
-        save_embeddings(table, out)
+        out.write_text(f"{len(table)} {table.dim}\n" + "".join(
+            token + " " + " ".join(repr(float(x)) for x in vec) + "\n"
+            for token, vec in table.vectors.items()), encoding="utf-8")
         reloaded = load_embeddings(out)
         assert reloaded.dim == table.dim
         assert set(reloaded.vectors) == set(table.vectors)
@@ -708,29 +708,34 @@ class TestEmbedVideo:
         assert load_stoplist(path) == {"und", "der"}
 
 
+def s_text(a: DocVector, b: DocVector):
+    """The kernel's text-route cosine of two doc vectors."""
+    a, b = replace(a, video_id="a"), replace(b, video_id="b")
+    return combined_similarity("a", "b", {"a": a, "b": b}, {}).s_text
+
+
 class TestTextSimilarity:
     def test_self_similarity(self):
         table = EmbeddingTable(dim=3, vectors={"aa": np.array([1., 2., 3.])})
         doc = embed_video(video(title="aa"), table)
-        assert text_similarity(doc, doc) == pytest.approx(1.0, abs=1e-12)
+        assert s_text(doc, doc) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_cosine(self):
         a = DocVector("a", np.array([1., 2., 3.]), 1, 0)
         b = DocVector("b", np.array([4., 5., 6.]), 1, 0)
-        assert text_similarity(a, b) == pytest.approx(0.9746318461970762,
-                                                      abs=1e-9)
+        assert s_text(a, b) == pytest.approx(0.9746318461970762, abs=1e-9)
 
     def test_degenerate_is_undefined(self):
         good = DocVector("a", np.array([1., 0.]), 1, 0)
         bad = DocVector("b", np.zeros(2), 0, 3)
-        assert text_similarity(good, bad) is None
-        assert text_similarity(bad, bad) is None
+        assert s_text(good, bad) is None
+        assert s_text(bad, bad) is None
 
     def test_dimension_mismatch(self):
         a = DocVector("a", np.ones(2), 1, 0)
         b = DocVector("b", np.ones(3), 1, 0)
         with pytest.raises(DimensionMismatchError):
-            text_similarity(a, b)
+            s_text(a, b)
 
     def test_symmetry_and_bounds_on_random_pairs(self):
         rng = random.Random(47)
@@ -741,8 +746,8 @@ class TestTextSimilarity:
             docs.append(embed_video(video(title=" ".join(words)), table))
         for a in docs:
             for b in docs:
-                s = text_similarity(a, b)
-                assert s == text_similarity(b, a)
+                s = s_text(a, b)
+                assert s == s_text(b, a)
                 assert abs(s) <= 1 + 1e-12
 
 

@@ -17,23 +17,24 @@ from lodrec import (
     WITH_LOD,
     WITHOUT_LOD,
     CorpusIndex,
-    DocVector,
     UnknownIdError,
     combined_similarity,
-    ddc_similarity,
     engine,
     recommend,
-    similarity_matrix,
-    text_similarity,
     write_matrix_tsv,
 )
-from lodrec.engine import _score_row, matrix_blocks
+from lodrec.ddc_vectors import DdcVector
+from lodrec.embeddings import DocVector
+from lodrec.engine import _score_row, matrix_blocks, similarity_matrix
+from lodrec.errors import DimensionMismatchError, VocabularyMismatchError
 
 from conftest import (
     cell_by_cell_tsv,
+    dense_cosine,
     hierarchy_index,
     kernel_matrix,
     random_micro_index,
+    sparse_cosine,
 )
 
 
@@ -140,7 +141,6 @@ class TestCombinedSimilarity:
             combined_similarity("i", "j", docs, {}, weights=weights)
 
     def test_mixed_vocabularies_rejected(self):
-        from lodrec import VocabularyMismatchError
         docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
         ddc = {"i": _sparse("i", {0: 1.0}), "j": _sparse("j", {0: 1.0})}
         ddc["j"].fingerprint = "other"
@@ -148,7 +148,6 @@ class TestCombinedSimilarity:
             combined_similarity("i", "j", docs, ddc)
 
     def test_dimension_mismatch_rejected(self):
-        from lodrec import DimensionMismatchError
         docs = {"i": DocVector("i", np.ones(2), 1, 0),
                 "j": DocVector("j", np.ones(3), 1, 0)}
         with pytest.raises(DimensionMismatchError):
@@ -171,8 +170,9 @@ class TestCombinedSimilarity:
 
 class TestKernel:
     def test_routes_match_scalar_oracles(self):
-        """Each route of the kernel agrees with the scalar ``fsum`` cosine
-        within 1e-10, on acceptance 4's 100 random micro-corpora."""
+        """Each route of the kernel agrees with the reference cosine of
+        ``conftest`` (numpy for text, ``fsum`` for codes) within 1e-10, on
+        acceptance 4's 100 random micro-corpora."""
         rng = random.Random(103)
         for _ in range(100):
             index = random_micro_index(rng)
@@ -180,11 +180,14 @@ class TestKernel:
                 for j in index.ids:
                     s = combined_similarity(i, j, index.doc_vectors,
                                             index.ddc_vectors, index.weights)
+                    d_i, d_j = index.doc_vectors[i], index.doc_vectors[j]
+                    text_ref = (None if d_i.degenerate or d_j.degenerate
+                                else dense_cosine(d_i.vector, d_j.vector))
                     for got, ref in (
-                            (s.s_text, text_similarity(index.doc_vectors[i],
-                                                       index.doc_vectors[j])),
-                            (s.s_ddc, ddc_similarity(index.ddc_vectors[i],
-                                                     index.ddc_vectors[j]))):
+                            (s.s_text, text_ref),
+                            (s.s_ddc, sparse_cosine(
+                                index.ddc_vectors[i].weights,
+                                index.ddc_vectors[j].weights))):
                         if ref is None:
                             assert got is None
                         else:
@@ -203,14 +206,12 @@ class TestKernel:
 
 
 def _sparse(vid, weights):
-    from lodrec import DdcVector
     return DdcVector(video_id=vid, weights=weights, fingerprint="fp")
 
 
 def _with_ghost(index: CorpusIndex) -> CorpusIndex:
     """A new index: ``index`` plus a video with neither text nor fragment
     evidence (an index is immutable once built)."""
-    from lodrec import DdcVector
     fp = next(iter(index.ddc_vectors.values())).fingerprint
     dim = next(iter(index.doc_vectors.values())).vector.shape[0]
     return CorpusIndex(

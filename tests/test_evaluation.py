@@ -11,10 +11,7 @@ import scipy.stats
 from lodrec import (
     LEVELS,
     METHODS,
-    ContingencyTable,
-    EvaluationError,
     ParseError,
-    RatingRecord,
     aggregate,
     build_report,
     chi_square,
@@ -23,6 +20,8 @@ from lodrec import (
     load_ratings,
     relative_deltas,
 )
+from lodrec.errors import EvaluationError
+from lodrec.evaluation import ContingencyTable, RatingRecord
 
 from conftest import RATINGS_CSV
 

@@ -11,10 +11,8 @@ import pytest
 
 from lodrec import (
     ConfigError,
-    FragmentVocabulary,
     LodrecError,
     ParseError,
-    VocabularyMismatchError,
     load_config,
     load_index,
     override_config,
@@ -23,6 +21,8 @@ from lodrec import (
     run_ingest,
 )
 from lodrec import embeddings, pipeline
+from lodrec.ddc_vectors import FragmentVocabulary
+from lodrec.errors import VocabularyMismatchError
 from lodrec.pipeline import (
     CORPUS_FILE,
     DDC_VECTORS_FILE,
@@ -94,6 +94,12 @@ class TestLoadConfig:
         ("w_ddc", "inf", "finite"),
         ("limit_embeddings", "0", "limit_embeddings must be >= 1"),
         ("limit_embeddings", "-5", "limit_embeddings must be >= 1"),
+        ("k", "abc", r"config\.txt:\d+: k: expected an integer, got 'abc'"),
+        ("w_text", "x", r"config\.txt:\d+: w_text: expected a number"),
+        ("limit_embeddings", "1.5", r"config\.txt:\d+: limit_embeddings"),
+        pytest.param("w_text", "0.9\nw_text = 0.1",
+                     r"config\.txt:\d+: w_text is set twice, first on line",
+                     id="w_text-set-twice"),
     ])
     def test_invalid_values(self, tmp_path, key, value, message):
         path = write_config(tmp_path, **{key: value})
@@ -352,7 +358,8 @@ class TestLoadIndex:
 
     def test_loaded_scores_match_freshly_built(self, built):
         # serialization must not perturb a single bit of any score
-        from lodrec import WITH_LOD, combined_similarity, similarity_matrix
+        from lodrec import WITH_LOD, combined_similarity
+        from lodrec.engine import similarity_matrix
         import numpy as np
         index_a = load_index(built)
         index_b = load_index(built)

@@ -1,4 +1,4 @@
-"""Regularized incomplete gamma: identities and independent oracles."""
+"""Upper regularized incomplete gamma: identities and independent oracles."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from lodrec import regularized_gamma_p, regularized_gamma_q
+from lodrec.special import regularized_gamma_q
 
 
 def quad_gamma_q(a: float, x: float) -> float:
@@ -22,33 +22,28 @@ def quad_gamma_q(a: float, x: float) -> float:
 
 class TestBoundaries:
     def test_at_zero(self):
-        assert regularized_gamma_p(2.5, 0.0) == 0.0
         assert regularized_gamma_q(2.5, 0.0) == 1.0
 
     @pytest.mark.parametrize("a", [0.0, -1.0])
     def test_nonpositive_shape_rejected(self, a):
         with pytest.raises(ValueError):
-            regularized_gamma_p(a, 1.0)
-        with pytest.raises(ValueError):
             regularized_gamma_q(a, 1.0)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            regularized_gamma_p(1.0, -0.5)
         with pytest.raises(ValueError):
             regularized_gamma_q(1.0, -0.5)
 
 
 class TestIdentities:
     def test_p_plus_q_is_one(self):
+        # P from scipy: the package computes only Q
         rng = random.Random(83)
         for _ in range(200):
             a = rng.uniform(0.05, 30.0)
             x = rng.uniform(0.0, 60.0)
-            p = regularized_gamma_p(a, x)
             q = regularized_gamma_q(a, x)
-            assert p + q == pytest.approx(1.0, abs=1e-12)
-            assert 0.0 <= p <= 1.0
+            assert scipy.special.gammainc(a, x) + q == \
+                pytest.approx(1.0, abs=1e-12)
             assert 0.0 <= q <= 1.0
 
     def test_shape_one_is_exponential(self):
@@ -67,8 +62,6 @@ class TestIdentities:
         xs = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
         qs = [regularized_gamma_q(3.0, x) for x in xs]
         assert qs == sorted(qs, reverse=True)
-        ps = [regularized_gamma_p(3.0, x) for x in xs]
-        assert ps == sorted(ps)
 
 
 class TestOracles:
@@ -88,8 +81,6 @@ class TestOracles:
             x = rng.uniform(0.0, 80.0)
             assert regularized_gamma_q(a, x) == \
                 pytest.approx(scipy.special.gammaincc(a, x), abs=1e-12)
-            assert regularized_gamma_p(a, x) == \
-                pytest.approx(scipy.special.gammainc(a, x), abs=1e-12)
 
     def test_reference_p_value(self):
         # survival value for the shipped study statistic: Q(1.5, x/2)
