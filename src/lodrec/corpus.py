@@ -58,9 +58,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
 
 def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
     """Validate one decoded record; raises ParseError on bad fields."""

@@ -10,7 +10,6 @@ point of fragmenting the hierarchy in the first place.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -43,12 +42,6 @@ class FragmentVocabulary:
         """One fragment per line, ``level<TAB>prefix``, vocabulary order."""
         return "".join(f"{f.level}\t{f.prefix}\n" for f in self.fragments)
 
-    def fingerprint(self) -> str:
-        """64-bit hash of the serialized vocabulary, as 16 hex digits."""
-        digest = hashlib.blake2b(self.serialize().encode("utf-8"),
-                                 digest_size=8)
-        return digest.hexdigest()
-
     def idf(self, fragment: Fragment) -> float:
         return math.log(self.n_docs / self.df[fragment])
 
@@ -58,13 +51,11 @@ class DdcVector:
     """Sparse tf-idf weights for one video, keyed by vocabulary dimension.
 
     Zeros are absent from the map, so an empty ``weights`` dict means the
-    video has no usable classification evidence.  The vocabulary
-    fingerprint guards against comparing vectors from different indices.
+    video has no usable classification evidence.
     """
 
     video_id: str
     weights: dict[int, float]
-    fingerprint: str
     unknown_fragments: int = field(default=0, compare=False)
 
     def __bool__(self) -> bool:
@@ -100,15 +91,12 @@ def build_vocabulary(enriched: list[EnrichedVideo],
     )
 
 
-def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary,
-              fingerprint: str | None = None) -> DdcVector:
+def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary) -> DdcVector:
     """tf-idf weights for every vocabulary fragment the video contains.
 
     Fragments outside the vocabulary are skipped and counted (this only
     happens when a video was not part of the vocabulary build).
     Fragments occurring in every document get idf 0 and are left out.
-    ``fingerprint`` is ``vocab.fingerprint()``; a caller vectorizing
-    many videos passes it in, so the vocabulary is hashed once.
     """
     weights: dict[int, float] = {}
     unknown = 0
@@ -120,7 +108,6 @@ def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary,
             continue
         weights[vocab.index[fragment]] = tf * vocab.idf(fragment)
     return DdcVector(video_id=video.video.id, weights=weights,
-                     fingerprint=fingerprint or vocab.fingerprint(),
                      unknown_fragments=unknown)
 
 
@@ -132,30 +119,18 @@ def save_vocabulary(vocab: FragmentVocabulary, path) -> None:
         f.write(vocab.serialize())
 
 
-def load_vocabulary_fingerprint(path) -> str:
-    """Fingerprint of a serialized vocabulary file (for artifact checks)."""
-    with open(path, "rb") as f:
-        return hashlib.blake2b(f.read(), digest_size=8).hexdigest()
-
-
-def save_ddc_vectors(vectors: list[DdcVector], fingerprint: str, path) -> None:
-    """``video_id<TAB>dim:weight,...`` lines under a fingerprint header."""
+def save_ddc_vectors(vectors: list[DdcVector], path) -> None:
+    """One ``video_id<TAB>dim:weight,...`` line per video."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#fingerprint\t{fingerprint}\n")
         for v in vectors:
             cells = ",".join(f"{d}:{w!r}" for d, w in sorted(v.weights.items()))
             f.write(f"{v.video_id}\t{cells}\n")
 
 
-def load_ddc_vectors(path) -> tuple[str, list[DdcVector]]:
+def load_ddc_vectors(path) -> list[DdcVector]:
     with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        parts = header.split("\t")
-        if len(parts) != 2 or parts[0] != "#fingerprint":
-            raise ParseError(path, 1, "missing fingerprint header")
-        fingerprint = parts[1]
         vectors = []
-        for line_no, line in enumerate(f, start=2):
+        for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -176,13 +151,12 @@ def load_ddc_vectors(path) -> tuple[str, list[DdcVector]]:
                         raise ParseError(path, line_no,
                                          f"non-finite weight {cell!r}")
                     weights[dim] = weight
-            vectors.append(DdcVector(video_id=video_id, weights=weights,
-                                     fingerprint=fingerprint))
-    return fingerprint, vectors
+            vectors.append(DdcVector(video_id=video_id, weights=weights))
+    return vectors
 
 
 __all__ = [
     "DdcVector", "FragmentVocabulary",
     "build_vocabulary", "vectorize", "save_vocabulary",
-    "load_vocabulary_fingerprint", "save_ddc_vectors", "load_ddc_vectors",
+    "save_ddc_vectors", "load_ddc_vectors",
 ]

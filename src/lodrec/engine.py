@@ -60,7 +60,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicateIdError,
     UnknownIdError,
-    VocabularyMismatchError,
 )
 
 WITH_LOD = "with_lod"
@@ -150,7 +149,6 @@ class _Columns:
         np.divide(unit_text, norms[:, None], out=unit_text,
                   where=has_text[:, None])
 
-        fingerprints: set[str] = set()
         rows: list[int] = []
         entry_dims: list[int] = []
         weights: list[float] = []
@@ -158,14 +156,10 @@ class _Columns:
             v = ddc_vectors.get(vid)
             if v is None:
                 continue
-            fingerprints.add(v.fingerprint)
             for d in sorted(v.weights):
                 rows.append(r)
                 entry_dims.append(d)
                 weights.append(v.weights[d])
-        if len(fingerprints) > 1:
-            raise VocabularyMismatchError(
-                "vectors built against different vocabularies")
         row = np.array(rows, dtype=np.intp)
         dim = np.array(entry_dims, dtype=np.intp)
         weight = np.array(weights, dtype=np.float64)

@@ -34,9 +34,5 @@ class DimensionMismatchError(LodrecError):
     """Two dense vectors of different dimensionality were compared."""
 
 
-class VocabularyMismatchError(LodrecError):
-    """Vectors built against different vocabularies were mixed."""
-
-
 class EvaluationError(LodrecError):
     """A statistical precondition does not hold (e.g. zero column total)."""

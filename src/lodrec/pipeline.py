@@ -2,21 +2,24 @@
 
 The config is a plain ``key = value`` text file (``#`` comments allowed);
 relative paths are resolved against the config file's directory so a
-committed config keeps working from any working directory.  ``index``
-writes three artifacts into ``index_dir``:
+committed config keeps working from any working directory.  An index is
+four artifacts in ``index_dir`` and the manifest ``index`` writes last:
 
     corpus.jsonl     normalized corpus (written by ingest)
     vocabulary.tsv   fragment per line, ``level<TAB>prefix``
-    ddc_vectors.tsv  sparse tf-idf rows under a fingerprint header
+    ddc_vectors.tsv  sparse tf-idf rows
     doc_vectors.tsv  mean word-vector cache
+    manifest.json    blake2b digest of each file above
 
 Artifact writes are deterministic: identical inputs give byte-identical
-files, and the vocabulary fingerprint ties vector files to the
-vocabulary they were built against.
+files.  ``load_index`` refuses any file the manifest does not vouch for.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +29,6 @@ from .corpus import Corpus, load_corpus, save_corpus
 from .ddc_vectors import (
     build_vocabulary,
     load_ddc_vectors,
-    load_vocabulary_fingerprint,
     save_ddc_vectors,
     save_vocabulary,
     vectorize,
@@ -40,12 +42,14 @@ from .embeddings import (
     video_tokens,
 )
 from .engine import DEFAULT_WEIGHTS, CorpusIndex, check_weights
-from .errors import LodrecError, VocabularyMismatchError
+from .errors import LodrecError
 
 CORPUS_FILE = "corpus.jsonl"
 VOCABULARY_FILE = "vocabulary.tsv"
 DDC_VECTORS_FILE = "ddc_vectors.tsv"
 DOC_VECTORS_FILE = "doc_vectors.tsv"
+MANIFEST_FILE = "manifest.json"
+ARTIFACTS = (CORPUS_FILE, VOCABULARY_FILE, DDC_VECTORS_FILE, DOC_VECTORS_FILE)
 
 
 class ConfigError(LodrecError):
@@ -68,19 +72,27 @@ class PipelineConfig:
     stoplist_path: Path | None = None
 
     def validate(self) -> None:
+        invalid = self._invalid()
+        if invalid:
+            raise ConfigError(invalid[1])
+
+    def _invalid(self) -> tuple[str, str] | None:
+        """The first invalid setting, as (key, message), or None."""
         try:
             check_weights(self.weights)
         except ValueError as e:
-            raise ConfigError(str(e)) from None
+            w_text_ok = math.isfinite(self.w_text) and self.w_text >= 0
+            return ("w_ddc" if w_text_ok else "w_text"), str(e)
         if self.k < 1:
-            raise ConfigError("k must be >= 1")
+            return "k", "k must be >= 1"
         if self.limit_embeddings is not None and self.limit_embeddings < 1:
-            raise ConfigError("limit_embeddings must be >= 1")
+            return "limit_embeddings", "limit_embeddings must be >= 1"
         if self.fragmentation_mode not in ddc.MODES:
-            raise ConfigError(
-                f"fragmentation_mode must be one of {', '.join(ddc.MODES)}")
+            return ("fragmentation_mode", "fragmentation_mode must be one "
+                    f"of {', '.join(ddc.MODES)}")
         if self.corpus_format not in ("jsonl", "ntriples"):
-            raise ConfigError("corpus_format must be jsonl or ntriples")
+            return "corpus_format", "corpus_format must be jsonl or ntriples"
+        return None
 
     @property
     def weights(self) -> tuple[float, float]:
@@ -138,7 +150,11 @@ def load_config(path) -> PipelineConfig:
             raise ConfigError(
                 f"{path}:{line_no}: unknown config key {key!r}")
     config = PipelineConfig(**kwargs)
-    config.validate()
+    invalid = config._invalid()
+    if invalid:
+        # Defaults are valid, so the key that fails was set in the file.
+        key, message = invalid
+        raise ConfigError(f"{path}:{raw[key][0]}: {message}")
     return config
 
 
@@ -174,15 +190,24 @@ def _load_normalized_corpus(config: PipelineConfig) -> Corpus:
                        language_filter=config.language)
 
 
+def _digest(path: Path) -> str:
+    """blake2b of the file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.blake2b()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def run_index(config: PipelineConfig) -> dict:
-    """Build and write all index artifacts; reruns are byte-identical."""
+    """Build and write all index artifacts, then the manifest that vouches
+    for them; reruns are byte-identical."""
     corpus = _load_normalized_corpus(config)
     snapshot = load_snapshot(config.snapshot_path)
     enriched = enrich(corpus, snapshot)
 
     vocab = build_vocabulary(enriched, mode=config.fragmentation_mode)
-    fingerprint = vocab.fingerprint()
-    ddc_vectors = [vectorize(v, vocab, fingerprint) for v in enriched]
+    ddc_vectors = [vectorize(v, vocab) for v in enriched]
 
     stopwords = (load_stoplist(config.stoplist_path)
                  if config.stoplist_path else None)
@@ -198,16 +223,22 @@ def run_index(config: PipelineConfig) -> dict:
 
     config.index_dir.mkdir(parents=True, exist_ok=True)
     save_vocabulary(vocab, config.index_dir / VOCABULARY_FILE)
-    save_ddc_vectors(ddc_vectors, fingerprint,
-                     config.index_dir / DDC_VECTORS_FILE)
+    save_ddc_vectors(ddc_vectors, config.index_dir / DDC_VECTORS_FILE)
     save_doc_vectors(doc_vectors, config.index_dir / DOC_VECTORS_FILE)
+    # Written last: until it is, a rebuild's files do not match the old
+    # manifest, so a build that stops halfway cannot be loaded.
+    manifest = json.dumps(
+        {name: _digest(config.index_dir / name) for name in ARTIFACTS},
+        indent=2) + "\n"
+    (config.index_dir / MANIFEST_FILE).write_text(manifest, encoding="utf-8")
 
     resolved = sum(len(v.resolved) for v in enriched)
     unresolved = sum(v.unresolved_count for v in enriched)
     return {
         "videos": len(corpus),
         "vocabulary_size": len(vocab),
-        "fingerprint": fingerprint,
+        "fingerprint": hashlib.blake2b(manifest.encode("utf-8"),
+                                       digest_size=8).hexdigest(),
         "resolved_tags": resolved,
         "unresolved_tags": unresolved,
         "videos_without_codes": sum(1 for v in ddc_vectors if not v.weights),
@@ -218,44 +249,43 @@ def run_index(config: PipelineConfig) -> dict:
     }
 
 
-def _check_ids(expected: list[str], path: Path, found: list[str]) -> None:
-    """Reject a vector file whose ids are not the corpus ids in order."""
-    if found == expected:
-        return
-    at = next((n for n, (a, b) in enumerate(zip(expected, found)) if a != b),
-              min(len(expected), len(found)))
-    want = repr(expected[at]) if at < len(expected) else "none"
-    got = repr(found[at]) if at < len(found) else "none"
-    raise LodrecError(
-        f"{path}: ids differ from {CORPUS_FILE} at position {at + 1}: "
-        f"{CORPUS_FILE} has {want}, this file has {got}; the index is "
-        "stale, run index again")
+def _check_manifest(index_dir: Path) -> None:
+    """Refuse an index whose files are not the ones its manifest lists."""
+    path = index_dir / MANIFEST_FILE
+    if not path.exists():
+        raise LodrecError(f"{path}: index manifest not found; run index")
+    try:
+        digests = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(digests, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as e:  # also bad UTF-8 and bad JSON
+        raise LodrecError(f"{path}: unreadable index manifest ({e}); the "
+                          "build did not finish, run index again") from None
+    wrong = [f"no digest of {n}" for n in ARTIFACTS if n not in digests] + [
+        f"unknown file {n}" for n in digests if n not in ARTIFACTS]
+    if wrong:
+        raise LodrecError(f"{path}: {', '.join(wrong)}; run index again")
+    for name in ARTIFACTS:
+        artifact = index_dir / name
+        if not artifact.exists():
+            raise LodrecError(f"{artifact}: index artifact missing; "
+                              "run index again")
+        if _digest(artifact) != digests[name]:
+            why = ("ingest ran again after the last index"
+                   if name == CORPUS_FILE else "the file changed after the "
+                   "build, or the build did not finish")
+            raise LodrecError(f"{artifact}: differs from its digest in "
+                              f"{MANIFEST_FILE}: {why}; run index again")
 
 
 def load_index(config: PipelineConfig) -> CorpusIndex:
-    """Load artifacts back into a scoring index, checking fingerprints
-    and that the vector files hold the corpus ids in corpus order."""
-    corpus = _load_normalized_corpus(config)
-    vocab_file = config.index_dir / VOCABULARY_FILE
-    if not vocab_file.exists():
-        raise LodrecError(f"index artifact missing: {vocab_file}; "
-                          "run index first")
-    vocab_fp = load_vocabulary_fingerprint(vocab_file)
-    vector_fp, ddc_vectors = load_ddc_vectors(
-        config.index_dir / DDC_VECTORS_FILE)
-    if vector_fp != vocab_fp:
-        raise VocabularyMismatchError(
-            f"vector file fingerprint {vector_fp} does not match "
-            f"vocabulary file fingerprint {vocab_fp}; artifacts are from "
-            "different runs")
+    """Load the index that ``run_index`` wrote, once its manifest vouches
+    for every file; the ids come, in order, from the doc vectors."""
+    _check_manifest(config.index_dir)
+    ddc_vectors = load_ddc_vectors(config.index_dir / DDC_VECTORS_FILE)
     doc_vectors = load_doc_vectors(config.index_dir / DOC_VECTORS_FILE)
-    ids = corpus.ids()
-    _check_ids(ids, config.index_dir / DOC_VECTORS_FILE,
-               [v.video_id for v in doc_vectors])
-    _check_ids(ids, config.index_dir / DDC_VECTORS_FILE,
-               [v.video_id for v in ddc_vectors])
     return CorpusIndex(
-        ids=ids,
+        ids=[v.video_id for v in doc_vectors],
         doc_vectors={v.video_id: v for v in doc_vectors},
         ddc_vectors={v.video_id: v for v in ddc_vectors},
         weights=config.weights,
@@ -263,7 +293,8 @@ def load_index(config: PipelineConfig) -> CorpusIndex:
 
 
 __all__ = [
-    "CORPUS_FILE", "DDC_VECTORS_FILE", "DOC_VECTORS_FILE", "VOCABULARY_FILE",
+    "ARTIFACTS", "CORPUS_FILE", "DDC_VECTORS_FILE", "DOC_VECTORS_FILE",
+    "MANIFEST_FILE", "VOCABULARY_FILE",
     "ConfigError", "PipelineConfig",
     "load_config", "load_index", "override_config", "run_index", "run_ingest",
 ]

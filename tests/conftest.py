@@ -243,7 +243,7 @@ def kernel_cosines(text=None, codes=None) -> tuple:
     text = text if text is not None else (np.zeros(1), np.zeros(1))
     docs = {vid: DocVector(vid, np.asarray(v, dtype=float), 1, 0)
             for vid, v in zip("ij", text)}
-    ddc = {vid: DdcVector(vid, dict(w), "fp")
+    ddc = {vid: DdcVector(vid, dict(w))
            for vid, w in zip("ij", codes or ())}
     s = combined_similarity("i", "j", docs, ddc)
     return s.s_text, s.s_ddc

@@ -34,12 +34,7 @@ from lodrec import (
 from lodrec.corpus import VideoRecord
 from lodrec.ddc_vectors import build_vocabulary
 from lodrec.embeddings import embed_video
-from lodrec.pipeline import (
-    CORPUS_FILE,
-    DDC_VECTORS_FILE,
-    DOC_VECTORS_FILE,
-    VOCABULARY_FILE,
-)
+from lodrec.pipeline import MANIFEST_FILE
 from lodrec.special import regularized_gamma_q
 
 from conftest import (
@@ -198,8 +193,8 @@ def test_acceptance_6_embedding_determinism(report):
 
 
 def test_acceptance_7_index_build_determinism(report, tmp_path):
-    with report(7, "two full index builds over the same inputs write "
-                   "byte-identical artifacts"):
+    with report(7, "two full index builds over the same inputs, in two "
+                   "directories, write byte-identical index directories"):
         digests = []
         for run in ("one", "two"):
             run_dir = tmp_path / run
@@ -208,11 +203,10 @@ def test_acceptance_7_index_build_determinism(report, tmp_path):
             run_ingest(config)
             run_index(config)
             digests.append({
-                name: hashlib.md5(
-                    (config.index_dir / name).read_bytes()).hexdigest()
-                for name in (CORPUS_FILE, VOCABULARY_FILE,
-                             DDC_VECTORS_FILE, DOC_VECTORS_FILE)
+                path.name: hashlib.md5(path.read_bytes()).hexdigest()
+                for path in config.index_dir.iterdir()
             })
+        assert MANIFEST_FILE in digests[0]
         assert digests[0] == digests[1]
 
 

@@ -6,11 +6,13 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lodrec import METHODS, engine, load_config, load_index
 from lodrec.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from lodrec.pipeline import ARTIFACTS
 
 from conftest import (
     RATINGS_CSV,
@@ -216,6 +218,56 @@ class TestMatrix:
             assert out == expected
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def _append_line(path):
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("\n")
+
+
+TAMPERED = "differs from its digest in manifest.json"
+
+
+class TestUnvouchedIndex:
+    """``recommend`` and ``matrix`` refuse, with exit 2 and a message
+    naming the file and the reason, an index its manifest does not
+    vouch for."""
+
+    @pytest.mark.parametrize("name,damage,reason", [
+        pytest.param(name, damage, reason, id=f"{damage.__name__}-{name}")
+        for name, damage, reason in [
+            ("manifest.json", Path.unlink,
+             "index manifest not found; run index"),
+            ("manifest.json", _truncate, "unreadable index manifest ("),
+            *[(name, _append_line, TAMPERED) for name in ARTIFACTS],
+            *[(name, Path.unlink, "index artifact missing; run index again")
+              for name in ARTIFACTS]]])
+    @pytest.mark.parametrize("command", ["recommend", "matrix"])
+    def test_refused(self, capsys, tmp_path, indexed_config, command, name,
+                     damage, reason):
+        damage(tmp_path / "index" / name)
+        query = ["v001"] if command == "recommend" else []
+        code, out, err = run_cli(capsys, command, "--config", indexed_config,
+                                 *query)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"error: {tmp_path / 'index' / name}: {reason}")
+
+    def test_reingest_without_index(self, capsys, tmp_path, indexed_config):
+        write_toy_config(tmp_path, language=None)  # keeps the English video
+        assert run_cli(capsys, "ingest", "--config", indexed_config)[0] == EXIT_OK
+        code, out, err = run_cli(capsys, "recommend", "--config",
+                                 indexed_config, "v001")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"error: {tmp_path / 'index' / 'corpus.jsonl'}: "
+                       f"{TAMPERED}: ingest ran again after the last index; "
+                       "run index again\n")
+        assert run_cli(capsys, "index", "--config", indexed_config)[0] == EXIT_OK
+        assert run_cli(capsys, "recommend", "--config", indexed_config,
+                       "v001")[0] == EXIT_OK
+
+
 class TestEvaluate:
     def test_study_fixture(self, capsys):
         code, out, err = run_cli(capsys, "evaluate", str(RATINGS_CSV))
@@ -278,6 +330,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ingest", "--config", config)
         assert code == EXIT_USAGE
         assert "config.txt:" in err and "k: expected an integer" in err
+
+    def test_invalid_config_setting_names_its_line(self, capsys, tmp_path):
+        config = write_toy_config(tmp_path, k="0")
+        line = config.read_text().splitlines().index("k = 0") + 1
+        code, _, err = run_cli(capsys, "ingest", "--config", str(config))
+        assert code == EXIT_USAGE
+        assert err == f"error: {config}:{line}: k must be >= 1\n"
+        # a flag has no line to name
+        code, _, err = run_cli(capsys, "index", "--config",
+                               str(write_toy_config(tmp_path)),
+                               "--limit-embeddings", "0")
+        assert code == EXIT_USAGE
+        assert err == "error: limit_embeddings must be >= 1\n"
 
     def test_malformed_corpus_record_is_data_error(self, capsys, toy_run,
                                                    tmp_path):

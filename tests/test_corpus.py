@@ -40,7 +40,8 @@ class TestLoad:
             "manual", "transcript", "ocr"]
 
     def test_record_order_preserved(self, toy_corpus):
-        assert toy_corpus.ids() == [f"v{n:03d}" for n in range(1, 10)]
+        assert [r.id for r in toy_corpus.records] == \
+            [f"v{n:03d}" for n in range(1, 10)]
 
     def test_empty_file(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [])
@@ -132,7 +133,7 @@ class TestLanguageFilter:
                 record_obj("v3", "de")]
         path = write_jsonl(tmp_path / "c.jsonl", objs)
         corpus = load_corpus(path, language_filter="de")
-        assert corpus.ids() == ["v1", "v3"]
+        assert [r.id for r in corpus.records] == ["v1", "v3"]
         assert corpus.dropped_count == 1
         assert corpus.language_filter == "de"
 

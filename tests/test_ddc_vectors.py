@@ -19,11 +19,7 @@ from lodrec.ddc_vectors import (
     vectorize,
 )
 from lodrec.embeddings import DocVector
-from lodrec.errors import (
-    DimensionMismatchError,
-    ParseError,
-    VocabularyMismatchError,
-)
+from lodrec.errors import DimensionMismatchError, ParseError
 
 from conftest import kernel_cosines, make_enriched
 
@@ -59,7 +55,7 @@ class TestBuildVocabulary:
             permuted = build_vocabulary(shuffled)
             assert permuted.fragments == reference.fragments
             assert permuted.df == reference.df
-            assert permuted.fingerprint() == reference.fingerprint()
+            assert permuted.serialize() == reference.serialize()
 
     def test_df_bounds_and_index_bijection(self, toy_enriched):
         vocab = build_vocabulary(toy_enriched)
@@ -123,7 +119,6 @@ class TestVectorize:
         vocab = build_vocabulary(toy_enriched)
         for e in toy_enriched:
             vector = vectorize(e, vocab)
-            assert vector.fingerprint == vocab.fingerprint()
             for dim, weight in vector.weights.items():
                 assert 0 <= dim < len(vocab)
                 assert weight > 0
@@ -228,14 +223,6 @@ class TestDdcSimilarity:
         v1, v2 = (vectorize(e, vocab) for e in enriched)
         assert s_ddc(v1, v2) is None
 
-    def test_fingerprint_mismatch_rejected(self):
-        first = make_enriched({"v1": [["005.74"]], "v2": [["530"]]})
-        second = make_enriched({"v1": [["005.74"]], "v2": [["612"]]})
-        v_first = vectorize(first[0], build_vocabulary(first))
-        v_second = vectorize(second[1], build_vocabulary(second))
-        with pytest.raises(VocabularyMismatchError):
-            s_ddc(v_first, v_second)
-
     def test_deep_overlap_beats_shallow_overlap(self):
         # a-pair shares levels 1-3, b-pair only level 1 (which is universal
         # here, hence idf 0): specific shared ancestry must score higher.
@@ -286,28 +273,21 @@ class TestSerialization:
         vocab = build_vocabulary(toy_enriched)
         vectors = [vectorize(e, vocab) for e in toy_enriched]
         out = tmp_path / "vectors.tsv"
-        save_ddc_vectors(vectors, vocab.fingerprint(), out)
-        fingerprint, reloaded = load_ddc_vectors(out)
-        assert fingerprint == vocab.fingerprint()
+        save_ddc_vectors(vectors, out)
+        reloaded = load_ddc_vectors(out)
         assert [(v.video_id, v.weights) for v in reloaded] == \
             [(v.video_id, v.weights) for v in vectors]
 
-    def test_missing_header_rejected(self, tmp_path):
-        out = tmp_path / "vectors.tsv"
-        out.write_text("v1\t0:1.0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="fingerprint"):
-            load_ddc_vectors(out)
-
     def test_bad_weight_cell_names_line(self, tmp_path):
         out = tmp_path / "vectors.tsv"
-        out.write_text("#fingerprint\tabc\nv1\t0:x\n", encoding="utf-8")
+        out.write_text("v0\t0:1.0\nv1\t0:x\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
             load_ddc_vectors(out)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_names_line(self, tmp_path, weight):
         out = tmp_path / "vectors.tsv"
-        out.write_text(f"#fingerprint\tabc\nv1\t0:1.0\nv2\t0:1.0,3:{weight}\n",
+        out.write_text(f"v1\t0:1.0\nv2\t0:1.0,3:{weight}\n",
                        encoding="utf-8")
-        with pytest.raises(ParseError, match=r"vectors\.tsv:3: non-finite"):
+        with pytest.raises(ParseError, match=r"vectors\.tsv:2: non-finite"):
             load_ddc_vectors(out)

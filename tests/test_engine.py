@@ -26,7 +26,7 @@ from lodrec import (
 from lodrec.ddc_vectors import DdcVector
 from lodrec.embeddings import DocVector
 from lodrec.engine import _score_row, matrix_blocks, similarity_matrix
-from lodrec.errors import DimensionMismatchError, VocabularyMismatchError
+from lodrec.errors import DimensionMismatchError
 
 from conftest import (
     cell_by_cell_tsv,
@@ -140,13 +140,6 @@ class TestCombinedSimilarity:
         with pytest.raises(ValueError):
             combined_similarity("i", "j", docs, {}, weights=weights)
 
-    def test_mixed_vocabularies_rejected(self):
-        docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
-        ddc = {"i": _sparse("i", {0: 1.0}), "j": _sparse("j", {0: 1.0})}
-        ddc["j"].fingerprint = "other"
-        with pytest.raises(VocabularyMismatchError):
-            combined_similarity("i", "j", docs, ddc)
-
     def test_dimension_mismatch_rejected(self):
         docs = {"i": DocVector("i", np.ones(2), 1, 0),
                 "j": DocVector("j", np.ones(3), 1, 0)}
@@ -206,21 +199,19 @@ class TestKernel:
 
 
 def _sparse(vid, weights):
-    return DdcVector(video_id=vid, weights=weights, fingerprint="fp")
+    return DdcVector(video_id=vid, weights=weights)
 
 
 def _with_ghost(index: CorpusIndex) -> CorpusIndex:
     """A new index: ``index`` plus a video with neither text nor fragment
     evidence (an index is immutable once built)."""
-    fp = next(iter(index.ddc_vectors.values())).fingerprint
     dim = next(iter(index.doc_vectors.values())).vector.shape[0]
     return CorpusIndex(
         ids=index.ids + ["ghost"],
         doc_vectors={**index.doc_vectors,
                      "ghost": DocVector("ghost", np.zeros(dim), 0, 2)},
         ddc_vectors={**index.ddc_vectors,
-                     "ghost": DdcVector(video_id="ghost", weights={},
-                                        fingerprint=fp)},
+                     "ghost": DdcVector(video_id="ghost", weights={})},
         weights=index.weights)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +22,19 @@ from lodrec import (
     run_ingest,
 )
 from lodrec import embeddings, pipeline
-from lodrec.ddc_vectors import FragmentVocabulary
-from lodrec.errors import VocabularyMismatchError
+from lodrec.ddc_vectors import load_ddc_vectors
 from lodrec.pipeline import (
-    CORPUS_FILE,
+    ARTIFACTS,
     DDC_VECTORS_FILE,
     DOC_VECTORS_FILE,
+    MANIFEST_FILE,
     VOCABULARY_FILE,
 )
 
-from conftest import TOY, write_toy_config as write_config
+from conftest import REPO, TOY, write_toy_config as write_config
 
-ARTIFACTS = (CORPUS_FILE, VOCABULARY_FILE, DDC_VECTORS_FILE, DOC_VECTORS_FILE)
+
+WEIGHTS = "weights must be finite and non-negative with positive sum"
 
 
 def md5(path: Path) -> str:
@@ -106,6 +108,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize("settings,key,message", [
+        ({"w_text": "-0.5"}, "w_text", WEIGHTS),
+        ({"w_ddc": "inf"}, "w_ddc", WEIGHTS),
+        ({"w_ddc": "0.5", "w_text": "nan"}, "w_text", WEIGHTS),
+        ({"w_text": "0", "w_ddc": "0"}, "w_ddc", WEIGHTS),
+        ({"k": "0"}, "k", "k must be >= 1"),
+        ({"limit_embeddings": "0"}, "limit_embeddings",
+         "limit_embeddings must be >= 1"),
+        ({"fragmentation_mode": "strip_all"}, "fragmentation_mode",
+         "fragmentation_mode must be one of zero_stripping, zero_preserving"),
+        ({"corpus_format": "xml"}, "corpus_format",
+         "corpus_format must be jsonl or ntriples"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, dict) else None)
+    def test_invalid_setting_names_its_line(self, tmp_path, settings, key,
+                                            message):
+        path = write_config(tmp_path, **settings)
+        line = next(n for n, text in enumerate(
+            path.read_text().splitlines(), start=1)
+            if text.startswith(f"{key} ="))
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == f"{path}:{line}: {message}"
+
     def test_defaults(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("corpus_path = a.jsonl\n"
@@ -178,6 +203,25 @@ class TestIngestAndIndex:
         for name in ARTIFACTS:
             assert (config.index_dir / name).exists(), name
 
+    def test_manifest_holds_each_artifact_digest(self, config):
+        run_ingest(config)
+        summary = run_index(config)
+        manifest = (config.index_dir / MANIFEST_FILE).read_bytes()
+        assert json.loads(manifest) == {
+            name: hashlib.blake2b(
+                (config.index_dir / name).read_bytes()).hexdigest()
+            for name in ARTIFACTS}
+        assert summary["fingerprint"] == \
+            hashlib.blake2b(manifest, digest_size=8).hexdigest()
+
+    def test_index_dir_holds_the_readme_artifacts(self, config):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        table = readme.split("**Index artifacts**", 1)[1].split("\n\n")[1]
+        documented = set(re.findall(r"^\| `([^`]+)` \|", table, re.M))
+        run_ingest(config)
+        run_index(config)
+        assert {p.name for p in config.index_dir.iterdir()} == documented
+
     def test_rerun_is_byte_identical(self, config):
         run_ingest(config)
         run_index(config)
@@ -186,17 +230,6 @@ class TestIngestAndIndex:
         run_index(config)
         second = {name: md5(config.index_dir / name) for name in ARTIFACTS}
         assert first == second
-
-    def test_vocabulary_hashed_once_per_build(self, config, monkeypatch):
-        calls = []
-        original = FragmentVocabulary.fingerprint
-        monkeypatch.setattr(FragmentVocabulary, "fingerprint",
-                            lambda self: calls.append(1) or original(self))
-        run_ingest(config)
-        summary = run_index(config)
-        assert len(calls) == 1
-        assert summary["fingerprint"] == \
-            (config.index_dir / DDC_VECTORS_FILE).read_text().split()[1]
 
     def test_videos_tokenized_once_per_build(self, config, monkeypatch):
         calls = []
@@ -298,15 +331,51 @@ class TestLoadIndex:
         assert len(rec.ranked) == 3
 
     def test_missing_artifact(self, built):
-        (built.index_dir / VOCABULARY_FILE).unlink()
-        with pytest.raises(LodrecError, match="run index first"):
+        for name in ARTIFACTS:
+            path = built.index_dir / name
+            kept = path.read_bytes()
+            path.unlink()
+            with pytest.raises(LodrecError, match=rf"{re.escape(name)}: index "
+                               "artifact missing; run index again"):
+                load_index(built)
+            path.write_bytes(kept)
+        load_index(built)
+
+    def test_missing_manifest(self, built):
+        (built.index_dir / MANIFEST_FILE).unlink()
+        with pytest.raises(LodrecError, match=r"manifest\.json: index "
+                           "manifest not found; run index"):
+            load_index(built)
+
+    def test_truncated_manifest(self, built):
+        path = built.index_dir / MANIFEST_FILE
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(LodrecError, match=r"manifest\.json: unreadable "
+                           r"index manifest .*build did not finish"):
+            load_index(built)
+
+    @pytest.mark.parametrize("text", ["[]", '"digests"', "null"])
+    def test_manifest_not_an_object(self, built, text):
+        (built.index_dir / MANIFEST_FILE).write_text(text)
+        with pytest.raises(LodrecError, match="not a JSON object"):
+            load_index(built)
+
+    def test_manifest_lacking_an_artifact(self, built):
+        path = built.index_dir / MANIFEST_FILE
+        digests = json.loads(path.read_text())
+        del digests[DDC_VECTORS_FILE]
+        digests["notes.txt"] = "0" * 128
+        path.write_text(json.dumps(digests))
+        with pytest.raises(LodrecError, match=r"manifest\.json: no digest of "
+                           r"ddc_vectors\.tsv, unknown file notes\.txt"):
             load_index(built)
 
     def test_tampered_vocabulary_detected(self, built):
         vocab_file = built.index_dir / VOCABULARY_FILE
         lines = vocab_file.read_text().splitlines()
         vocab_file.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(VocabularyMismatchError, match="fingerprint"):
+        with pytest.raises(LodrecError, match=r"vocabulary\.tsv: differs "
+                           r"from its digest in manifest\.json"):
             load_index(built)
 
     def test_reingested_corpus_rejected(self, tmp_path, toy_run):
@@ -321,16 +390,17 @@ class TestLoadIndex:
                                 "title": "Neue Vorlesung", "abstract": "",
                                 "tags": []}) + "\n")
         run_ingest(config)
-        with pytest.raises(LodrecError,
-                           match=r"doc_vectors\.tsv: .*'vNEW'.*none"):
+        with pytest.raises(LodrecError, match=r"corpus\.jsonl: differs from "
+                           "its digest .*: ingest ran again after the last "
+                           "index; run index again"):
             load_index(config)
 
     def test_vector_rows_out_of_order_rejected(self, built):
         path = built.index_dir / DDC_VECTORS_FILE
-        header, first, second, *rest = path.read_text().splitlines()
-        path.write_text("\n".join([header, second, first, *rest]) + "\n")
-        with pytest.raises(LodrecError,
-                           match=r"ddc_vectors\.tsv: .*position 1.*'v001'"):
+        first, second, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([second, first, *rest]) + "\n")
+        with pytest.raises(LodrecError, match=r"ddc_vectors\.tsv: differs "
+                           r"from its digest in manifest\.json"):
             load_index(built)
 
     def test_non_finite_doc_vector_rejected(self, built):
@@ -343,18 +413,18 @@ class TestLoadIndex:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError,
                            match=r"doc_vectors\.tsv:2: non-finite"):
-            load_index(built)
+            embeddings.load_doc_vectors(path)
 
     def test_non_finite_fragment_weight_rejected(self, built):
         # One inf weight in v001's row made every score of v001 NaN.
         path = built.index_dir / DDC_VECTORS_FILE
         lines = path.read_text().splitlines()
-        assert lines[1].startswith("v001\t")
-        lines[1] = lines[1].rsplit(":", 1)[0] + ":inf"
+        assert lines[0].startswith("v001\t")
+        lines[0] = lines[0].rsplit(":", 1)[0] + ":inf"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError,
-                           match=r"ddc_vectors\.tsv:2: non-finite"):
-            load_index(built)
+                           match=r"ddc_vectors\.tsv:1: non-finite"):
+            load_ddc_vectors(path)
 
     def test_loaded_scores_match_freshly_built(self, built):
         # serialization must not perturb a single bit of any score
