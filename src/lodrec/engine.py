@@ -16,19 +16,23 @@ row against every video of a ``CorpusIndex``.  It reads columnar state
 that the index builds once (``_Columns``):
 
 - the doc vectors as an L2-normalised N x D array, with a mask of the
-  rows that are defined (tokens found, non-zero norm);
+  rows that are defined (tokens found, non-zero norm) and the list of
+  those that are not;
 - the fragment vectors L2-normalised, both as CSR rows and as postings
   (per dimension, the rows that carry it, ascending), with a mask of
-  the videos that have codes;
+  the videos that have codes and the list of those that have none;
 - the rank of each id in sorted order, for tie-breaks.
 
 Each cell depends only on its two vectors.  The text cosine is
-``np.einsum("ij,j->i", U, U[q])`` over the unit rows ``U``: numpy's own
-sum-of-products loop adds each row's products in an order fixed by the
-row length alone, whatever the number of rows, and allocates no N x D
-temporary.  No BLAS mat-vec (``@``, ``np.dot``, ``einsum`` with
-``optimize``) is used, because BLAS picks its summation order by the
-batch shape, so a row's bits would change with the size of the index.
+``np.vecdot(U, U[q])`` over the unit rows ``U``: one BLAS ``ddot`` per
+cell, on two rows of length D, so its summation order is fixed by D
+alone, whatever the number of rows or their order.  Never a BLAS
+mat-vec or mat-mat (``@``, ``np.dot`` on a matrix, ``einsum`` with
+``optimize``): those pick their summation order by the batch shape, so
+a row's bits would change with the size of the index.  (OpenBLAS
+splits a ``ddot`` longer than 10,000 across its threads, so at such a
+D the bits also depend on the process's BLAS thread count, never on
+the batch.)
 The fragment cosine adds the products of the shared dimensions in
 ascending dimension order.  So a ``similarity_matrix`` row equals the
 ``recommend`` scores bit for bit, the matrix is exactly symmetric, and
@@ -113,6 +117,8 @@ class _Columns:
     unit_text: np.ndarray      # (N, D) unit doc vectors; zero rows if undefined
     has_text: np.ndarray       # (N,) bool
     has_codes: np.ndarray      # (N,) bool
+    no_text: np.ndarray        # rows where has_text is False
+    no_codes: np.ndarray       # rows where has_codes is False
     row_ptr: np.ndarray        # (N + 1,) CSR of the unit fragment vectors
     row_dim: np.ndarray
     row_weight: np.ndarray
@@ -178,6 +184,8 @@ class _Columns:
         return cls(
             position=position, id_rank=id_rank,
             unit_text=unit_text, has_text=has_text, has_codes=has_codes,
+            no_text=np.flatnonzero(~has_text),
+            no_codes=np.flatnonzero(~has_codes),
             row_ptr=_offsets(row, n), row_dim=dim, row_weight=weight,
             dim_ptr=_offsets(dim, n_dims), post_row=row[order],
             post_weight=weight[order])
@@ -203,6 +211,7 @@ class CorpusIndex:
     columns: _Columns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_weights(self.weights)
         self.columns = _Columns.build(self.ids, self.doc_vectors,
                                       self.ddc_vectors)
 
@@ -227,21 +236,24 @@ def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
     return w_text, w_ddc
 
 
-def _score_row(cols: _Columns, q: int, weights: tuple[float, float]):
-    """Scores of row ``q`` against every row: ``s_text``, ``s_ddc``,
-    ``s_lod`` (NaN where undefined) and ``fallback`` (bool), as arrays.
+def _score_row(cols: _Columns, q: int, weights: tuple[float, float],
+               method: str = WITH_LOD):
+    """Scores of row ``q`` against every row: ``s_text``, ``s_ddc`` and
+    ``s_lod`` as arrays, NaN where undefined; for ``without_lod`` only
+    ``s_text``, the other two None.
 
     Fallback rule: if exactly one branch is undefined the combined score
     equals the defined branch; if both are undefined it is undefined.
     """
-    w_text, w_ddc = check_weights(weights)
     n = len(cols.has_text)
-    s_text = np.full(n, np.nan)
     if cols.has_text[q]:
-        dots = np.einsum("ij,j->i", cols.unit_text, cols.unit_text[q])
-        np.copyto(s_text, dots, where=cols.has_text)
+        s_text = np.vecdot(cols.unit_text, cols.unit_text[q])
+        s_text[cols.no_text] = np.nan
+    else:
+        s_text = np.full(n, np.nan)
+    if method == WITHOUT_LOD:
+        return s_text, None, None
 
-    s_ddc = np.full(n, np.nan)
     if cols.has_codes[q]:
         lo, hi = cols.row_ptr[q], cols.row_ptr[q + 1]
         q_dims, q_weights = cols.row_dim[lo:hi], cols.row_weight[lo:hi]
@@ -251,20 +263,22 @@ def _score_row(cols: _Columns, q: int, weights: tuple[float, float]):
         # by dimension; bincount adds them to each row in that order.
         take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
                 + np.arange(counts.sum()))
-        dots = np.bincount(cols.post_row[take],
-                           weights=cols.post_weight[take]
-                           * np.repeat(q_weights, counts), minlength=n)
-        np.copyto(s_ddc, dots, where=cols.has_codes)
+        s_ddc = np.bincount(cols.post_row[take],
+                            weights=cols.post_weight[take]
+                            * np.repeat(q_weights, counts), minlength=n)
+        s_ddc[cols.no_codes] = np.nan
+    else:
+        s_ddc = np.full(n, np.nan)
 
-    text_ok, ddc_ok = ~np.isnan(s_text), ~np.isnan(s_ddc)
-    combined = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
-    s_lod = np.where(text_ok & ddc_ok, combined,
-                     np.where(text_ok, s_text, s_ddc))
-    return s_text, s_ddc, s_lod, text_ok ^ ddc_ok
+    w_text, w_ddc = weights
+    s_lod = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
+    np.copyto(s_lod, s_text, where=np.isnan(s_ddc))
+    np.copyto(s_lod, s_ddc, where=np.isnan(s_text))
+    return s_text, s_ddc, s_lod
 
 
 def _method_scores(index: CorpusIndex, q: int, method: str) -> np.ndarray:
-    s_text, _, s_lod, _ = _score_row(index.columns, q, index.weights)
+    s_text, _, s_lod = _score_row(index.columns, q, index.weights, method)
     return s_lod if method == WITH_LOD else s_text
 
 
@@ -289,12 +303,13 @@ def combined_similarity(i: str, j: str,
     pair = CorpusIndex(
         ids=ids, doc_vectors={vid: doc_vectors[vid] for vid in ids},
         ddc_vectors={vid: ddc_vectors[vid] for vid in ids
-                     if vid in ddc_vectors})
-    s_text, s_ddc, s_lod, fallback = _score_row(pair.columns, 0, weights)
+                     if vid in ddc_vectors}, weights=weights)
+    s_text, s_ddc, s_lod = _score_row(pair.columns, 0, pair.weights)
     c = len(ids) - 1
-    return SimilarityScore(pair=(i, j), s_text=_value(s_text[c]),
-                           s_ddc=_value(s_ddc[c]), s_lod=_value(s_lod[c]),
-                           fallback_applied=bool(fallback[c]))
+    return SimilarityScore(
+        pair=(i, j), s_text=_value(s_text[c]), s_ddc=_value(s_ddc[c]),
+        s_lod=_value(s_lod[c]),
+        fallback_applied=math.isnan(s_text[c]) != math.isnan(s_ddc[c]))
 
 
 def recommend(query_id: str, index: CorpusIndex, k: int,
@@ -312,7 +327,8 @@ def recommend(query_id: str, index: CorpusIndex, k: int,
         raise ValueError(f"k={k} out of range 1..{n_candidates}")
 
     scores = _method_scores(index, q, method)
-    key = np.where(np.isnan(scores), np.inf, -scores)
+    key = -scores
+    key[np.isnan(scores)] = np.inf
     key[q] = np.nan  # partition puts NaN last, and NaN <= kth is False
     kth = np.partition(key, k - 1)[k - 1]
     top = np.flatnonzero(key <= kth)

@@ -210,6 +210,53 @@ def cell_by_cell_tsv(ids: list[str], matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def former_glue(cols, q: int, weights: tuple[float, float],
+                text_dots: np.ndarray) -> tuple:
+    """The kernel's per-query glue as it was first written, for a check
+    that the trimmed glue keeps every bit: each route starts from
+    ``np.full(n, nan)`` and copies its dots in ``where`` the row is
+    defined, and the routes combine through a nested ``np.where``.
+    ``text_dots`` is the raw text product row of query ``q``, so both
+    sides start from the same text scores.  Returns ``(s_text, s_ddc,
+    s_lod, fallback)``."""
+    n = len(cols.has_text)
+    s_text = np.full(n, np.nan)
+    if cols.has_text[q]:
+        np.copyto(s_text, text_dots, where=cols.has_text)
+    s_ddc = np.full(n, np.nan)
+    if cols.has_codes[q]:
+        lo, hi = cols.row_ptr[q], cols.row_ptr[q + 1]
+        q_dims, q_weights = cols.row_dim[lo:hi], cols.row_weight[lo:hi]
+        starts = cols.dim_ptr[q_dims]
+        counts = cols.dim_ptr[q_dims + 1] - starts
+        take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+                + np.arange(counts.sum()))
+        dots = np.bincount(cols.post_row[take],
+                           weights=cols.post_weight[take]
+                           * np.repeat(q_weights, counts), minlength=n)
+        np.copyto(s_ddc, dots, where=cols.has_codes)
+    w_text, w_ddc = weights
+    text_ok, ddc_ok = ~np.isnan(s_text), ~np.isnan(s_ddc)
+    combined = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
+    s_lod = np.where(text_ok & ddc_ok, combined,
+                     np.where(text_ok, s_text, s_ddc))
+    return s_text, s_ddc, s_lod, text_ok ^ ddc_ok
+
+
+def former_top_k(scores: np.ndarray, q: int, ids: list[str], id_rank,
+                 k: int) -> list:
+    """``recommend``'s selection as it was first written: the order key
+    from ``np.where``, then partition and a (key, id) sort of the rows at
+    or below the k-th key."""
+    key = np.where(np.isnan(scores), np.inf, -scores)
+    key[q] = np.nan
+    kth = np.partition(key, k - 1)[k - 1]
+    top = np.flatnonzero(key <= kth)
+    top = top[np.lexsort((id_rank[top], key[top]))][:k]
+    return [(ids[c], None if math.isnan(scores[c]) else float(scores[c]))
+            for c in top.tolist()]
+
+
 # -- reference cosines, the oracles for the kernel, and the kernel on raw
 # -- vectors; the package has no scalar cosine of its own
 

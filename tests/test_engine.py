@@ -31,6 +31,8 @@ from lodrec.errors import DimensionMismatchError
 from conftest import (
     cell_by_cell_tsv,
     dense_cosine,
+    former_glue,
+    former_top_k,
     hierarchy_index,
     kernel_matrix,
     random_micro_index,
@@ -152,16 +154,19 @@ class TestCombinedSimilarity:
         docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             combined_similarity("i", "j", docs, {}, weights=weights)
-        base = hierarchy_index()
-        index = CorpusIndex(ids=base.ids, doc_vectors=base.doc_vectors,
-                            ddc_vectors=base.ddc_vectors, weights=weights)
-        with pytest.raises(ValueError, match="finite"):
-            recommend("a1", index, k=3)
-        with pytest.raises(ValueError, match="finite"):
-            similarity_matrix(index)
 
 
 class TestKernel:
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 1.0), (1.0, math.nan), (0.5, math.inf), (-1.0, 1.0),
+        (0.0, 0.0)])
+    def test_index_refuses_bad_weights_at_construction(self, weights):
+        # Refused before any query: recommend and matrix never see them.
+        base = hierarchy_index()
+        with pytest.raises(ValueError, match="finite"):
+            CorpusIndex(ids=base.ids, doc_vectors=base.doc_vectors,
+                        ddc_vectors=base.ddc_vectors, weights=weights)
+
     def test_routes_match_scalar_oracles(self):
         """Each route of the kernel agrees with the reference cosine of
         ``conftest`` (numpy for text, ``fsum`` for codes) within 1e-10, on
@@ -443,6 +448,43 @@ class TestSelection:
                         assert _ranked_bits(rec.ranked) == _ranked_bits(
                             lexsort_ranking(matrix[q], q, index.ids, k))
 
+    def test_glue_keeps_its_bits_on_micro_indexes(self):
+        """The NaN fills, the combine, the fallback mask and the order key
+        give the bits of their first form (``conftest.former_glue`` and
+        ``former_top_k``) from the same text products, for both methods,
+        with a ghost video and re-uploads in every index."""
+        rng = random.Random(113)
+        for _ in range(25):
+            base = random_micro_index(rng)
+            base = CorpusIndex(
+                ids=base.ids, doc_vectors=base.doc_vectors,
+                ddc_vectors=base.ddc_vectors,
+                weights=rng.choice([(0.5, 0.5), (0.3, 0.9), (1.0, 0.0)]))
+            index = _with_ghost(_with_reuploads(
+                base, rng.sample(base.ids, min(3, len(base))), rng))
+            cols = index.columns
+            for q, query in enumerate(index.ids):
+                text_dots = np.vecdot(cols.unit_text, cols.unit_text[q])
+                s_text, s_ddc, s_lod, fallback = former_glue(
+                    cols, q, index.weights, text_dots)
+                got = _score_row(cols, q, index.weights)
+                for new, old in zip(got, (s_text, s_ddc, s_lod)):
+                    assert np.array_equal(_bits(new), _bits(old))
+                text_only = _score_row(cols, q, index.weights, WITHOUT_LOD)
+                assert np.array_equal(_bits(text_only[0]), _bits(s_text))
+                assert text_only[1:] == (None, None)
+                assert [combined_similarity(
+                    query, vid, index.doc_vectors, index.ddc_vectors,
+                    index.weights).fallback_applied
+                    for vid in index.ids] == fallback.tolist()
+                for method, scores in ((WITH_LOD, s_lod),
+                                       (WITHOUT_LOD, s_text)):
+                    for k in range(1, len(index)):
+                        rec = recommend(query, index, k, method)
+                        assert _ranked_bits(rec.ranked) == _ranked_bits(
+                            former_top_k(scores, q, index.ids,
+                                         cols.id_rank, k))
+
     def test_ties_straddle_the_kth_place(self):
         index = _with_reuploads(hierarchy_index(), ["a2"], random.Random(3))
         full = recommend("a1", index, len(index) - 1).ranked
@@ -464,14 +506,20 @@ def _random_text_index(rng: np.random.Generator, n: int = 160,
     return CorpusIndex(ids=list(docs), doc_vectors=docs, ddc_vectors={})
 
 
-class TestTextRoute:
-    """A text score depends only on its two rows: the same bits in any
-    row subset, in either order, and close to the former row-wise
-    product.  BLAS (``U @ U[q]``) fails the subset check."""
+ODD_AND_EVEN_DIMS = [1, 3, 7, 300, 301]
 
-    def test_subset_rows_keep_their_bits(self):
+
+class TestTextRoute:
+    """A text score is one ``ddot`` of its two rows: the same bits in any
+    row subset, in either order, at every row length (an odd D starts
+    the rows at different alignments), and close to the former row-wise
+    product.  A BLAS mat-vec (``U @ U[q]``, ``einsum`` with
+    ``optimize``) fails the subset check."""
+
+    @pytest.mark.parametrize("dim", ODD_AND_EVEN_DIMS)
+    def test_subset_rows_keep_their_bits(self, dim):
         rng = np.random.default_rng(97)
-        full = _random_text_index(rng)
+        full = _random_text_index(rng, dim=dim)
         matrix = similarity_matrix(full, WITHOUT_LOD)
         for _ in range(60):
             rows = rng.permutation(len(full))[:rng.integers(1, len(full) + 1)]
@@ -482,10 +530,28 @@ class TestTextRoute:
                 assert np.array_equal(_bits(s_text),
                                       _bits(matrix[rows[q], rows]))
 
-    def test_exactly_symmetric(self):
+    @pytest.mark.parametrize("dim", ODD_AND_EVEN_DIMS)
+    def test_exactly_symmetric(self, dim):
         matrix = similarity_matrix(_random_text_index(
-            np.random.default_rng(101)), WITHOUT_LOD)
+            np.random.default_rng(101), dim=dim), WITHOUT_LOD)
         assert np.array_equal(_bits(matrix), _bits(matrix.T))
+
+    def test_pair_scores_equal_the_recommend_row_at_odd_dim(self):
+        rng = np.random.default_rng(107)
+        text = _random_text_index(rng, n=60, dim=301)
+        codes = {vid: DdcVector(vid, {int(d): float(rng.random())
+                                      for d in rng.choice(12, 3)})
+                 for vid in text.ids if rng.random() < 0.7}
+        index = CorpusIndex(ids=text.ids, doc_vectors=text.doc_vectors,
+                            ddc_vectors=codes, weights=(0.3, 0.9))
+        for query in rng.choice(index.ids, 8, replace=False).tolist():
+            for method in METHODS:
+                ranked = recommend(query, index, len(index) - 1,
+                                   method).ranked
+                pairs = [(vid, combined_similarity(
+                    query, vid, index.doc_vectors, index.ddc_vectors,
+                    index.weights).for_method(method)) for vid, _ in ranked]
+                assert _ranked_bits(pairs) == _ranked_bits(ranked)
 
     def test_within_1e15_of_the_former_rowwise_product(self):
         index = _random_text_index(np.random.default_rng(103))
