@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .authority import EnrichedVideo
 from .ddc import DEFAULT_MODE, Fragment, fragment_code
@@ -62,26 +63,47 @@ class DdcVector:
         return bool(self.weights)
 
 
-def _video_fragment_counts(video: EnrichedVideo, mode: str) -> Counter:
-    """Fragment multiplicities over the video's (tag, code) pairs."""
-    counts: Counter = Counter()
-    for resolved in video.resolved:
-        for code in resolved.ddc_codes:
-            counts.update(fragment_code(code, mode))
-    return counts
+def fragment_counts(enriched: list[EnrichedVideo],
+                    mode: str = DEFAULT_MODE) -> list[Counter]:
+    """Each video's fragment multiplicities over its (tag, code) pairs.
+
+    Each distinct code is fragmented once per call, and equal fragments
+    are one object, so the counts hash and compare them cheaply.  The
+    memo lives only as long as the call.
+    """
+    fragments: dict[str, tuple[Fragment, ...]] = {}  # by the code's digits
+    shared: dict[Fragment, Fragment] = {}
+    out = []
+    for video in enriched:
+        counts: Counter = Counter()
+        for resolved in video.resolved:
+            for code in resolved.ddc_codes:
+                frags = fragments.get(code.digits)
+                if frags is None:
+                    frags = fragments[code.digits] = tuple(
+                        shared.setdefault(f, f)
+                        for f in fragment_code(code, mode))
+                counts.update(frags)
+        out.append(counts)
+    return out
 
 
 def build_vocabulary(enriched: list[EnrichedVideo],
-                     mode: str = DEFAULT_MODE) -> FragmentVocabulary:
-    """Collect the distinct fragments of all resolved codes of all videos."""
+                     mode: str = DEFAULT_MODE, *,
+                     counts: list[Counter] | None = None,
+                     ) -> FragmentVocabulary:
+    """Collect the distinct fragments of all resolved codes of all videos.
+
+    A caller that already holds ``fragment_counts(enriched, mode)``
+    passes it as ``counts``.
+    """
+    if counts is None:
+        counts = fragment_counts(enriched, mode)
     df: Counter = Counter()
-    for video in enriched:
-        present = set()
-        for resolved in video.resolved:
-            for code in resolved.ddc_codes:
-                present.update(fragment_code(code, mode))
-        df.update(present)
-    fragments = sorted(df)
+    for video_counts in counts:
+        df.update(video_counts.keys())
+    # The dataclass order, (level, prefix), compared in C.
+    fragments = sorted(df, key=attrgetter("level", "prefix"))
     return FragmentVocabulary(
         fragments=fragments,
         index={f: i for i, f in enumerate(fragments)},
@@ -91,23 +113,30 @@ def build_vocabulary(enriched: list[EnrichedVideo],
     )
 
 
-def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary) -> DdcVector:
+def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary, *,
+              counts: Counter | None = None) -> DdcVector:
     """tf-idf weights for every vocabulary fragment the video contains.
 
     Fragments outside the vocabulary are skipped and counted (this only
     happens when a video was not part of the vocabulary build).
     Fragments occurring in every document get idf 0 and are left out.
+    A caller that already holds the video's entry of ``fragment_counts``
+    (in ``vocab.mode``) passes it as ``counts``.
     """
-    weights: dict[int, float] = {}
+    if counts is None:
+        counts = fragment_counts([video], vocab.mode)[0]
+    entries: list[tuple[int, float]] = []
     unknown = 0
-    for fragment, tf in sorted(_video_fragment_counts(video, vocab.mode).items()):
-        if fragment not in vocab.index:
+    for fragment, tf in counts.items():
+        dim = vocab.index.get(fragment)
+        if dim is None:
             unknown += 1
             continue
         if vocab.df[fragment] >= vocab.n_docs:
             continue
-        weights[vocab.index[fragment]] = tf * vocab.idf(fragment)
-    return DdcVector(video_id=video.video.id, weights=weights,
+        entries.append((dim, tf * vocab.idf(fragment)))
+    # Ascending dimension is ascending fragment: the vocabulary's order.
+    return DdcVector(video_id=video.video.id, weights=dict(sorted(entries)),
                      unknown_fragments=unknown)
 
 
@@ -157,6 +186,6 @@ def load_ddc_vectors(path) -> list[DdcVector]:
 
 __all__ = [
     "DdcVector", "FragmentVocabulary",
-    "build_vocabulary", "vectorize", "save_vocabulary",
+    "build_vocabulary", "fragment_counts", "vectorize", "save_vocabulary",
     "save_ddc_vectors", "load_ddc_vectors",
 ]

@@ -418,13 +418,15 @@ def embed_video(video: VideoRecord, table: EmbeddingTable,
     """
     if tokens is None:
         tokens = video_tokens(video, stopwords)
-    found = sorted(tok for tok in tokens if tok in table)
+    vectors = table.vectors
+    found = sorted(filter(vectors.__contains__, tokens))
     missed = len(tokens) - len(found)
     if not found:
         return DocVector(video_id=video.id,
                          vector=np.zeros(table.dim, dtype=np.float64),
                          tokens_used=0, tokens_missed=missed)
-    stacked = np.stack([table.vectors[tok] for tok in found])
+    # One row per occurrence; the sum adds them in this order.
+    stacked = np.array([vectors[tok] for tok in found])
     mean = stacked.sum(axis=0) / len(found)
     return DocVector(video_id=video.id, vector=mean,
                      tokens_used=len(found), tokens_missed=missed)
@@ -434,9 +436,12 @@ def embed_video(video: VideoRecord, table: EmbeddingTable,
 # Cache file: video_id<TAB>tokens_used<TAB>tokens_missed<TAB>v1,...,v_dim
 
 def save_doc_vectors(vectors: list[DocVector], path) -> None:
+    """Each component as the ``repr`` of its float64 value, so the text
+    reads back to the same bits; ``tolist`` and ``map`` keep the loop in C."""
     with open(path, "w", encoding="utf-8") as f:
         for v in vectors:
-            cells = ",".join(repr(float(x)) for x in v.vector)
+            components = np.asarray(v.vector, dtype=np.float64).tolist()
+            cells = ",".join(map(repr, components))
             f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n")
 
 

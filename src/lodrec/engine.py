@@ -29,10 +29,10 @@ cell, on two rows of length D, so its summation order is fixed by D
 alone, whatever the number of rows or their order.  Never a BLAS
 mat-vec or mat-mat (``@``, ``np.dot`` on a matrix, ``einsum`` with
 ``optimize``): those pick their summation order by the batch shape, so
-a row's bits would change with the size of the index.  (OpenBLAS
-splits a ``ddot`` longer than 10,000 across its threads, so at such a
-D the bits also depend on the process's BLAS thread count, never on
-the batch.)
+a row's bits would change with the size of the index.  OpenBLAS
+splits a ``ddot`` longer than 10,000 across its threads, which would
+make the bits depend on the process's BLAS thread count, so an index
+refuses doc vectors longer than ``MAX_TEXT_DIM``.
 The fragment cosine adds the products of the shared dimensions in
 ascending dimension order.  So a ``similarity_matrix`` row equals the
 ``recommend`` scores bit for bit, the matrix is exactly symmetric, and
@@ -73,6 +73,10 @@ METHODS = (WITH_LOD, WITHOUT_LOD)
 DEFAULT_WEIGHTS = (0.5, 0.5)
 
 MATRIX_BLOCK_ROWS = 64  # kernel rows per block of the streamed matrix
+
+# The longest doc vector an index takes: OpenBLAS splits a longer
+# ``ddot`` across its threads (seen at 10,001 and not at 10,000).
+MAX_TEXT_DIM = 10_000
 
 
 @dataclass
@@ -144,6 +148,8 @@ class _Columns:
         if len(dims) > 1:
             raise DimensionMismatchError(
                 f"document vectors differ in dimension: {sorted(dims)}")
+        if docs:
+            check_text_dim(docs[0].dim)
         unit_text = (np.stack([d.vector for d in docs], dtype=np.float64)
                      if docs else np.empty((0, 0)))
         if not np.isfinite(unit_text).all():
@@ -234,6 +240,17 @@ def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
         raise ValueError(
             "weights must be finite and non-negative with positive sum")
     return w_text, w_ddc
+
+
+def check_text_dim(dim: int) -> None:
+    """ValueError if doc vectors of dimension ``dim`` are too long for
+    their text scores to keep their bits."""
+    if dim > MAX_TEXT_DIM:
+        raise ValueError(
+            f"word vectors have dimension {dim}, above the limit of "
+            f"{MAX_TEXT_DIM}: OpenBLAS splits a longer dot product across "
+            "its threads, so the text scores would depend on the BLAS "
+            "thread count")
 
 
 def _score_row(cols: _Columns, q: int, weights: tuple[float, float],
@@ -375,7 +392,8 @@ def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
 
 __all__ = [
     "METHODS", "WITH_LOD", "WITHOUT_LOD", "DEFAULT_WEIGHTS",
-    "MATRIX_BLOCK_ROWS", "CorpusIndex", "Recommendation", "SimilarityScore",
-    "check_weights", "combined_similarity", "matrix_blocks", "recommend",
-    "similarity_matrix", "write_matrix_tsv",
+    "MATRIX_BLOCK_ROWS", "MAX_TEXT_DIM", "CorpusIndex", "Recommendation",
+    "SimilarityScore", "check_text_dim", "check_weights",
+    "combined_similarity", "matrix_blocks", "recommend", "similarity_matrix",
+    "write_matrix_tsv",
 ]

@@ -28,6 +28,7 @@ from .authority import load_snapshot, enrich
 from .corpus import Corpus, load_corpus, save_corpus
 from .ddc_vectors import (
     build_vocabulary,
+    fragment_counts,
     load_ddc_vectors,
     save_ddc_vectors,
     save_vocabulary,
@@ -41,7 +42,12 @@ from .embeddings import (
     save_doc_vectors,
     video_tokens,
 )
-from .engine import DEFAULT_WEIGHTS, CorpusIndex, check_weights
+from .engine import (
+    DEFAULT_WEIGHTS,
+    CorpusIndex,
+    check_text_dim,
+    check_weights,
+)
 from .errors import LodrecError
 
 CORPUS_FILE = "corpus.jsonl"
@@ -206,8 +212,11 @@ def run_index(config: PipelineConfig) -> dict:
     snapshot = load_snapshot(config.snapshot_path)
     enriched = enrich(corpus, snapshot)
 
-    vocab = build_vocabulary(enriched, mode=config.fragmentation_mode)
-    ddc_vectors = [vectorize(v, vocab) for v in enriched]
+    counts = fragment_counts(enriched, config.fragmentation_mode)
+    vocab = build_vocabulary(enriched, config.fragmentation_mode,
+                             counts=counts)
+    ddc_vectors = [vectorize(v, vocab, counts=c)
+                   for v, c in zip(enriched, counts)]
 
     stopwords = (load_stoplist(config.stoplist_path)
                  if config.stoplist_path else None)
@@ -218,6 +227,10 @@ def run_index(config: PipelineConfig) -> dict:
               for r in corpus.records]
     table = load_embeddings(config.embeddings_path,
                             limit=config.limit_embeddings, keep=set(used))
+    try:
+        check_text_dim(table.dim)
+    except ValueError as e:
+        raise LodrecError(f"{config.embeddings_path}: {e}") from None
     doc_vectors = [embed_video(r, table, tokens=toks)
                    for r, toks in zip(corpus.records, tokens)]
 

@@ -21,8 +21,13 @@ from lodrec import (
 )
 from lodrec.authority import EnrichedVideo, ResolvedTag
 from lodrec.corpus import Tag, VideoRecord
-from lodrec.ddc import parse_code
-from lodrec.ddc_vectors import DdcVector, build_vocabulary, vectorize
+from lodrec.ddc import fragment_code, parse_code
+from lodrec.ddc_vectors import (
+    DdcVector,
+    FragmentVocabulary,
+    build_vocabulary,
+    vectorize,
+)
 from lodrec.embeddings import DocVector, EmbeddingTable, embed_video
 
 REPO = Path(__file__).resolve().parents[1]
@@ -76,6 +81,17 @@ def write_toy_config(tmp_path: Path, **overrides) -> Path:
     lines += [f"{k} = {v}" for k, v in values.items() if v is not None]
     path = tmp_path / "config.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def wide_toy_table(path: Path, dim: int) -> Path:
+    """The toy table, headerless, with every row padded by zeros to
+    ``dim`` components."""
+    _, *rows = (TOY / "embeddings.txt").read_text(
+        encoding="utf-8").splitlines()
+    pad = dim - len(rows[0].split()) + 1
+    path.write_text("".join(row + " 0" * pad + "\n" for row in rows),
+                    encoding="utf-8")
     return path
 
 
@@ -255,6 +271,56 @@ def former_top_k(scores: np.ndarray, q: int, ids: list[str], id_rank,
     top = top[np.lexsort((id_rank[top], key[top]))][:k]
     return [(ids[c], None if math.isnan(scores[c]) else float(scores[c]))
             for c in top.tolist()]
+
+
+def former_save_doc_vectors(vectors: list[DocVector], path) -> None:
+    """The doc-vector writer as it was first written: a Python generator
+    that takes each component as a numpy scalar, makes it a ``float``
+    and calls ``repr`` on it."""
+    with open(path, "w", encoding="utf-8") as f:
+        for v in vectors:
+            cells = ",".join(repr(float(x)) for x in v.vector)
+            f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}"
+                    f"\t{cells}\n")
+
+
+def _former_fragment_counts(video: EnrichedVideo, mode: str) -> dict:
+    counts: dict = {}
+    for resolved in video.resolved:
+        for code in resolved.ddc_codes:
+            for fragment in fragment_code(code, mode):
+                counts[fragment] = counts.get(fragment, 0) + 1
+    return counts
+
+
+def former_build_vocabulary(enriched: list[EnrichedVideo],
+                            mode: str) -> FragmentVocabulary:
+    """The vocabulary build as it was first written: each video fragments
+    every one of its codes afresh, and ``df`` counts the set of them."""
+    df: dict = {}
+    for video in enriched:
+        for fragment in set(_former_fragment_counts(video, mode)):
+            df[fragment] = df.get(fragment, 0) + 1
+    fragments = sorted(df)
+    return FragmentVocabulary(
+        fragments=fragments, index={f: i for i, f in enumerate(fragments)},
+        df=df, n_docs=len(enriched), mode=mode)
+
+
+def former_vectorize(video: EnrichedVideo,
+                     vocab: FragmentVocabulary) -> DdcVector:
+    """``vectorize`` as it was first written: the video's own fragment
+    counts, walked in fragment order, each weight ``tf * vocab.idf``."""
+    weights: dict[int, float] = {}
+    unknown = 0
+    for fragment, tf in sorted(_former_fragment_counts(video,
+                                                       vocab.mode).items()):
+        if fragment not in vocab.index:
+            unknown += 1
+        elif vocab.df[fragment] < vocab.n_docs:
+            weights[vocab.index[fragment]] = tf * vocab.idf(fragment)
+    return DdcVector(video_id=video.video.id, weights=weights,
+                     unknown_fragments=unknown)
 
 
 # -- reference cosines, the oracles for the kernel, and the kernel on raw

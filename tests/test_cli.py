@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from lodrec import METHODS, engine, load_config, load_index
 from lodrec.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from lodrec.pipeline import ARTIFACTS
+from lodrec.pipeline import ARTIFACTS, DOC_VECTORS_FILE, MANIFEST_FILE
 
 from conftest import (
     RATINGS_CSV,
@@ -21,6 +22,7 @@ from conftest import (
     cell_by_cell_tsv,
     checkout_env,
     kernel_matrix,
+    wide_toy_table,
     write_toy_config,
 )
 
@@ -356,6 +358,39 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ingest", "--config", config)
         assert code == EXIT_DATA
         assert "corpus.jsonl:2: tags must be a list of objects" in err
+
+    def test_too_wide_table_is_data_error(self, capsys, tmp_path):
+        table = wide_toy_table(tmp_path / "wide.txt",
+                               engine.MAX_TEXT_DIM + 1)
+        config = str(write_toy_config(tmp_path, embeddings_path=str(table)))
+        assert run_cli(capsys, "ingest", "--config", config)[0] == EXIT_OK
+        code, out, err = run_cli(capsys, "index", "--config", config)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"error: {table}: word vectors have dimension "
+                              "10001, above the limit of 10000: ")
+        assert [p.name for p in (tmp_path / "index").iterdir()] == \
+            ["corpus.jsonl"]
+
+    def test_too_wide_index_is_data_error(self, capsys, tmp_path,
+                                          indexed_config):
+        # An index written by other means: doc vectors padded to 10,001
+        # components, under a manifest that vouches for them.
+        index_dir = tmp_path / "index"
+        doc_vectors = index_dir / DOC_VECTORS_FILE
+        pad = ",0.0" * (engine.MAX_TEXT_DIM + 1 - 16)
+        doc_vectors.write_text("".join(
+            line + pad + "\n" for line in doc_vectors.read_text(
+                encoding="utf-8").splitlines()), encoding="utf-8")
+        manifest = json.loads((index_dir / MANIFEST_FILE).read_text())
+        manifest[DOC_VECTORS_FILE] = hashlib.blake2b(
+            doc_vectors.read_bytes()).hexdigest()
+        (index_dir / MANIFEST_FILE).write_text(json.dumps(manifest))
+        for argv in (["recommend", "--config", indexed_config, "v001"],
+                     ["matrix", "--config", indexed_config]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err.startswith("error: word vectors have dimension "
+                                  "10001, above the limit of 10000: ")
 
     def test_unexpected_exception_is_internal(self, capsys, toy_config,
                                               monkeypatch):

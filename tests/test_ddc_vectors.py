@@ -9,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lodrec import combined_similarity, enrich
-from lodrec.ddc import Fragment
+from lodrec import combined_similarity, ddc_vectors, enrich
+from lodrec.ddc import MODES, Fragment
 from lodrec.ddc_vectors import (
     build_vocabulary,
+    fragment_counts,
     load_ddc_vectors,
     save_ddc_vectors,
     save_vocabulary,
@@ -21,7 +22,13 @@ from lodrec.ddc_vectors import (
 from lodrec.embeddings import DocVector
 from lodrec.errors import DimensionMismatchError, ParseError
 
-from conftest import kernel_cosines, make_enriched
+from conftest import (
+    former_build_vocabulary,
+    former_vectorize,
+    kernel_cosines,
+    make_enriched,
+    random_code,
+)
 
 WORKED_EXAMPLE = ["5@1", "51@2", "57@2", "513@3", "574@3", "5133@4"]
 
@@ -143,6 +150,85 @@ def s_ddc(v_i, v_j):
     v_i, v_j = replace(v_i, video_id="i"), replace(v_j, video_id="j")
     docs = {vid: DocVector(vid, np.zeros(1), 0, 0) for vid in "ij"}
     return combined_similarity("i", "j", docs, {"i": v_i, "j": v_j}).s_ddc
+
+
+def random_coded_videos(rng: random.Random, n: int,
+                        prefix: str = "v") -> list:
+    """Enriched videos drawing codes from a small shared pool: codes
+    repeat within a tag, across tags and across videos, and some videos
+    have no tags, or tags without codes."""
+    pool = [random_code(rng) for _ in range(12)]
+    return make_enriched({
+        f"{prefix}{i}": [rng.choices(pool, k=rng.randint(0, 3))
+                         for _ in range(rng.randint(0, 4))]
+        for i in range(n)})
+
+
+class TestSharedFragmentPath:
+    """``fragment_counts`` fragments each distinct code once and counts
+    each video once for both ``build_vocabulary`` and ``vectorize``; the
+    result equals the former per-video path (in tests/conftest.py)."""
+
+    @staticmethod
+    def assert_same_as_former(enriched, mode, outsiders=()):
+        former = former_build_vocabulary(enriched, mode)
+        counts = fragment_counts(enriched, mode)
+        for vocab in (build_vocabulary(enriched, mode),
+                      build_vocabulary(enriched, mode, counts=counts)):
+            assert vocab.fragments == former.fragments
+            assert vocab.index == former.index
+            assert vocab.df == former.df
+            assert (vocab.n_docs, vocab.mode) == (former.n_docs, mode)
+            assert vocab.serialize() == former.serialize()
+            for video, c in zip(enriched, counts):
+                expected = former_vectorize(video, former)
+                for got in (vectorize(video, vocab),
+                            vectorize(video, vocab, counts=c)):
+                    assert list(got.weights.items()) == \
+                        list(expected.weights.items())
+                    assert got.unknown_fragments == 0
+            for video in outsiders:
+                expected = former_vectorize(video, former)
+                got = vectorize(video, vocab)
+                assert list(got.weights.items()) == \
+                    list(expected.weights.items())
+                assert got.unknown_fragments == expected.unknown_fragments
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_toy_data(self, toy_enriched, mode):
+        self.assert_same_as_former(toy_enriched, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_videos(self, mode):
+        rng = random.Random(61)
+        unknown = 0
+        for _ in range(40):
+            enriched = random_coded_videos(rng, rng.randint(1, 12))
+            outsiders = random_coded_videos(rng, 3, prefix="x")
+            self.assert_same_as_former(enriched, mode, outsiders)
+            vocab = build_vocabulary(enriched, mode)
+            unknown += sum(vectorize(v, vocab).unknown_fragments
+                           for v in outsiders)
+        assert unknown > 0  # the outsiders did reach beyond the vocabulary
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_distinct_code_fragmented_once(self, monkeypatch, mode):
+        calls = []
+        original = ddc_vectors.fragment_code
+
+        def counted(code, mode):
+            calls.append(code.digits)
+            return original(code, mode)
+
+        monkeypatch.setattr(ddc_vectors, "fragment_code", counted)
+        enriched = random_coded_videos(random.Random(67), 30)
+        counts = fragment_counts(enriched, mode)
+        codes = [c.digits for v in enriched for r in v.resolved
+                 for c in r.ddc_codes]
+        assert len(codes) > len(set(codes))
+        assert sorted(calls) == sorted(set(codes))
+        assert len(counts) == len(enriched)
+        assert not all(counts)  # videos without codes count nothing
 
 
 class TestCosine:

@@ -35,7 +35,7 @@ from lodrec.embeddings import (
 )
 from lodrec.errors import DimensionMismatchError
 
-from conftest import TOY, random_embedding_table
+from conftest import TOY, former_save_doc_vectors, random_embedding_table
 
 
 def write_table(tmp_path, lines, name="vectors.txt"):
@@ -788,6 +788,24 @@ class TestDocVectorCache:
         assert [d.video_id for d in reloaded] == [d.video_id for d in docs]
         got = np.stack([d.vector for d in reloaded])
         assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writes_the_former_writers_bytes(self, tmp_path, dtype):
+        # A round trip alone would pass a writer printing 0.00001 for 1e-05.
+        rng = np.random.default_rng(61)
+        values = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 0.0, -1e-300,
+                  123456789.0, 1e15 + 0.5, np.finfo(dtype).max]
+        docs = [DocVector("edge", np.array(values, dtype=dtype), 2, 1),
+                DocVector("random", rng.normal(size=7).astype(dtype), 1, 0),
+                DocVector("wide", rng.normal(scale=1e-9, size=300)
+                          .astype(dtype), 3, 4)]
+        ours, former = tmp_path / "ours.tsv", tmp_path / "former.tsv"
+        save_doc_vectors(docs, ours)
+        former_save_doc_vectors(docs, former)
+        assert ours.read_bytes() == former.read_bytes()
+        if dtype is np.float64:
+            assert ours.read_text().startswith(
+                "edge\t2\t1\t-0.0,5e-324,1e-05,1e+16,0.30000000000000004,")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_component_names_line(self, tmp_path, cell):

@@ -194,6 +194,29 @@ class TestKernel:
             rng.choice(index.ids)
             rng.randint(1, len(index) - 1)
 
+    @pytest.mark.parametrize("dim", [engine.MAX_TEXT_DIM,
+                                     engine.MAX_TEXT_DIM + 1])
+    def test_text_dimension_limit_at_construction(self, dim):
+        # OpenBLAS splits a ddot longer than 10,000 across its threads.
+        assert engine.MAX_TEXT_DIM == 10_000
+        rng = np.random.default_rng(71)
+        docs = {vid: DocVector(vid, rng.normal(size=dim), 1, 0)
+                for vid in ("a", "b")}
+        if dim <= engine.MAX_TEXT_DIM:
+            index = CorpusIndex(ids=["a", "b"], doc_vectors=docs,
+                                ddc_vectors={})
+            s = combined_similarity("a", "b", docs, {})
+            assert s.s_text == _score_row(index.columns, 0,
+                                          index.weights)[0][1]
+            return
+        message = (f"word vectors have dimension {dim}, above the limit of "
+                   "10000: OpenBLAS splits a longer dot product across its "
+                   "threads")
+        with pytest.raises(ValueError, match=message):
+            CorpusIndex(ids=["a", "b"], doc_vectors=docs, ddc_vectors={})
+        with pytest.raises(ValueError, match=message):
+            combined_similarity("a", "b", docs, {})
+
     def test_index_rejects_non_finite_vectors(self):
         base = hierarchy_index()
         docs = dict(base.doc_vectors)

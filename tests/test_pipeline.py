@@ -23,15 +23,22 @@ from lodrec import (
 )
 from lodrec import embeddings, pipeline
 from lodrec.ddc_vectors import load_ddc_vectors
+from lodrec.engine import MAX_TEXT_DIM
 from lodrec.pipeline import (
     ARTIFACTS,
+    CORPUS_FILE,
     DDC_VECTORS_FILE,
     DOC_VECTORS_FILE,
     MANIFEST_FILE,
     VOCABULARY_FILE,
 )
 
-from conftest import REPO, TOY, write_toy_config as write_config
+from conftest import (
+    REPO,
+    TOY,
+    wide_toy_table,
+    write_toy_config as write_config,
+)
 
 
 WEIGHTS = "weights must be finite and non-negative with positive sum"
@@ -311,6 +318,33 @@ class TestEmbeddingTableInBuild:
         assert summary["embedding_dim"] == 16
         assert summary["degenerate_doc_vectors"] == summary["videos"] == 8
         assert len(recommend("v001", load_index(config), k=3).ranked) == 3
+
+
+class TestTextDimensionLimit:
+    """``index`` refuses a table wider than ``engine.MAX_TEXT_DIM``
+    before it writes any artifact, and names the table."""
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_ingest(config)
+        return config
+
+    def test_limit_is_accepted(self, config, tmp_path):
+        table = wide_toy_table(tmp_path / "wide.txt", MAX_TEXT_DIM)
+        summary = run_index(override_config(config, embeddings_path=table))
+        assert summary["embedding_dim"] == MAX_TEXT_DIM
+        assert summary["degenerate_doc_vectors"] == 0
+        assert len(recommend("v001", load_index(config), k=3).ranked) == 3
+
+    def test_wider_table_is_refused_before_any_artifact(self, config,
+                                                        tmp_path):
+        table = wide_toy_table(tmp_path / "wide.txt", MAX_TEXT_DIM + 1)
+        with pytest.raises(LodrecError, match=(
+                rf"^{re.escape(str(table))}: word vectors have dimension "
+                rf"10001, above the limit of 10000: ")):
+            run_index(override_config(config, embeddings_path=table))
+        assert [p.name for p in config.index_dir.iterdir()] == [CORPUS_FILE]
 
 
 class TestLoadIndex:
