@@ -28,8 +28,7 @@ TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
 
 def describe(index, i: str, j: str) -> None:
-    s = combined_similarity(i, j, index.doc_vectors, index.ddc_vectors,
-                            index.weights)
+    s = combined_similarity(index, i, j)
     def fmt(x):
         return "undefined" if x is None else f"{x:.4f}"
     note = " (fallback)" if s.fallback_applied else ""

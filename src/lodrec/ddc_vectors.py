@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+import numpy as np
+
 from .authority import EnrichedVideo
 from .ddc import DEFAULT_MODE, Fragment, fragment_code
 from .errors import ParseError
@@ -58,9 +60,6 @@ class DdcVector:
     video_id: str
     weights: dict[int, float]
     unknown_fragments: int = field(default=0, compare=False)
-
-    def __bool__(self) -> bool:
-        return bool(self.weights)
 
 
 def fragment_counts(enriched: list[EnrichedVideo],
@@ -156,9 +155,16 @@ def save_ddc_vectors(vectors: list[DdcVector], path) -> None:
             f.write(f"{v.video_id}\t{cells}\n")
 
 
-def load_ddc_vectors(path) -> list[DdcVector]:
+def load_ddc_vectors(path) -> tuple[list[str], np.ndarray, np.ndarray,
+                                    np.ndarray]:
+    """Read the rows as CSR, ``(ids, ptr, dims, weights)``: row ``r``'s
+    dimensions are ``dims[ptr[r]:ptr[r + 1]]``, strictly ascending, and
+    their weights ``weights[ptr[r]:ptr[r + 1]]``."""
+    ids: list[str] = []
+    ptr = [0]
+    dims: list[int] = []
+    weights: list[float] = []
     with open(path, encoding="utf-8") as f:
-        vectors = []
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -167,21 +173,29 @@ def load_ddc_vectors(path) -> list[DdcVector]:
             if len(fields) != 2:
                 raise ParseError(path, line_no, "expected id<TAB>weights")
             video_id, cells = fields
-            weights: dict[int, float] = {}
-            if cells:
-                for cell in cells.split(","):
-                    try:
-                        dim_s, w_s = cell.split(":")
-                        dim, weight = int(dim_s), float(w_s)
-                    except ValueError:
-                        raise ParseError(path, line_no,
-                                         f"bad weight cell {cell!r}") from None
-                    if not math.isfinite(weight):
-                        raise ParseError(path, line_no,
-                                         f"non-finite weight {cell!r}")
-                    weights[dim] = weight
-            vectors.append(DdcVector(video_id=video_id, weights=weights))
-    return vectors
+            last = -1
+            for cell in cells.split(",") if cells else ():
+                try:
+                    dim_s, w_s = cell.split(":")
+                    dim, weight = int(dim_s), float(w_s)
+                except ValueError:
+                    raise ParseError(path, line_no,
+                                     f"bad weight cell {cell!r}") from None
+                if not math.isfinite(weight):
+                    raise ParseError(path, line_no,
+                                     f"non-finite weight {cell!r}")
+                if dim <= last:
+                    raise ParseError(
+                        path, line_no, f"dimension out of order in "
+                        f"{cell!r}: a row's dimensions must be "
+                        "non-negative and strictly ascending")
+                last = dim
+                dims.append(dim)
+                weights.append(weight)
+            ids.append(video_id)
+            ptr.append(len(dims))
+    return (ids, np.array(ptr, dtype=np.intp), np.array(dims, dtype=np.intp),
+            np.array(weights, dtype=np.float64))
 
 
 __all__ = [

@@ -389,10 +389,6 @@ class DocVector:
     def degenerate(self) -> bool:
         return self.tokens_used == 0
 
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[0])
-
 
 def video_tokens(video: VideoRecord,
                  stopwords: set[str] | None = None) -> list[str]:
@@ -445,9 +441,13 @@ def save_doc_vectors(vectors: list[DocVector], path) -> None:
             f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n")
 
 
-def load_doc_vectors(path) -> list[DocVector]:
-    """Read the cache; one numpy call parses all components."""
-    rows: list[tuple[int, str, int, int]] = []
+def load_doc_vectors(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read the cache as ``(ids, tokens_used, vectors)``: the ids in file
+    order, an (N,) int array and the (N, D) matrix, which one numpy call
+    parses."""
+    ids: list[str] = []
+    used: list[int] = []
+    line_nos: list[int] = []
     cells: list[str] = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -459,20 +459,20 @@ def load_doc_vectors(path) -> list[DocVector]:
                 raise ParseError(path, line_no,
                                  "expected id<TAB>used<TAB>missed<TAB>components")
             try:
-                used, missed = int(fields[1]), int(fields[2])
+                used.append(int(fields[1]))
+                int(fields[2])  # tokens_missed: checked, not scored
             except ValueError:
                 raise ParseError(path, line_no, "malformed cache row") from None
             if not fields[3].strip():  # numpy would skip the empty row
                 raise ParseError(path, line_no, "malformed cache row")
-            rows.append((line_no, fields[0], used, missed))
+            ids.append(fields[0])
+            line_nos.append(line_no)
             cells.append(fields[3])
-    if not rows:
-        return []
-    matrix = _parse_rows(path, [line_no for line_no, *_ in rows], cells,
-                         cells[0].count(",") + 1, delimiter=",")
-    return [DocVector(video_id=vid, vector=vec, tokens_used=used,
-                      tokens_missed=missed)
-            for (_, vid, used, missed), vec in zip(rows, matrix)]
+    if not ids:
+        return [], np.empty(0, dtype=np.int64), np.empty((0, 0))
+    matrix = _parse_rows(path, line_nos, cells, cells[0].count(",") + 1,
+                         delimiter=",")
+    return ids, np.array(used, dtype=np.int64), matrix
 
 
 __all__ = [

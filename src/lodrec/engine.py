@@ -12,8 +12,9 @@ this engine targets (low thousands) exactness is cheap and keeps every
 ranking auditable; there is no approximate nearest-neighbor index.
 
 All scores come from one kernel, ``_score_row``, which scores one query
-row against every video of a ``CorpusIndex``.  It reads columnar state
-that the index builds once (``_Columns``):
+row against every video of a ``CorpusIndex``.  It reads the arrays that
+the index derives once, at construction, and holds in place of the
+vectors it was given:
 
 - the doc vectors as an L2-normalised N x D array, with a mask of the
   rows that are defined (tokens found, non-zero norm) and the list of
@@ -34,10 +35,10 @@ splits a ``ddot`` longer than 10,000 across its threads, which would
 make the bits depend on the process's BLAS thread count, so an index
 refuses doc vectors longer than ``MAX_TEXT_DIM``.
 The fragment cosine adds the products of the shared dimensions in
-ascending dimension order.  So a ``similarity_matrix`` row equals the
+ascending dimension order.  So a ``matrix_blocks`` row equals the
 ``recommend`` scores bit for bit, the matrix is exactly symmetric, and
-``combined_similarity``, the kernel on a two-video index, agrees with
-both.  NaN marks an undefined score inside the kernel only; scores
+``combined_similarity``, one cell of a kernel row, agrees with both.
+NaN marks an undefined score inside the kernel only; scores
 leave it as ``None``.
 
 ``recommend`` turns the scores into one order key (minus the score, or
@@ -54,17 +55,11 @@ beyond the index, never the whole matrix or TSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ddc_vectors import DdcVector
-from .embeddings import DocVector
-from .errors import (
-    DimensionMismatchError,
-    DuplicateIdError,
-    UnknownIdError,
-)
+from .errors import DuplicateIdError, UnknownIdError
 
 WITH_LOD = "with_lod"
 WITHOUT_LOD = "without_lod"
@@ -112,123 +107,90 @@ class Recommendation:
         }
 
 
-@dataclass
-class _Columns:
-    """The kernel's arrays, in corpus order (see the module docstring)."""
+class CorpusIndex:
+    """Immutable scoring state: the kernel's arrays, in corpus order.
 
-    position: dict[str, int]
-    id_rank: np.ndarray        # (N,) rank of each id in sorted order
-    unit_text: np.ndarray      # (N, D) unit doc vectors; zero rows if undefined
-    has_text: np.ndarray       # (N,) bool
-    has_codes: np.ndarray      # (N,) bool
-    no_text: np.ndarray        # rows where has_text is False
-    no_codes: np.ndarray       # rows where has_codes is False
-    row_ptr: np.ndarray        # (N + 1,) CSR of the unit fragment vectors
-    row_dim: np.ndarray
-    row_weight: np.ndarray
-    dim_ptr: np.ndarray        # (n_dims + 1,) postings of the same entries
-    post_row: np.ndarray
-    post_weight: np.ndarray
+    Built from ``ids``, the raw doc vectors ``text`` (N x D) with each
+    row's ``tokens_used``, and the fragment vectors as CSR: row ``r``'s
+    dimensions ``code_dims[code_ptr[r]:code_ptr[r + 1]]``, strictly
+    ascending, with their ``code_weights``.  Each vector is held once,
+    L2-normalised (see the module docstring); an index is not to be
+    changed afterwards.
+    """
 
-    @classmethod
-    def build(cls, ids: list[str], doc_vectors: dict[str, DocVector],
-              ddc_vectors: dict[str, DdcVector]) -> _Columns:
+    def __init__(self, ids: list[str], text: np.ndarray,
+                 tokens_used: np.ndarray, code_ptr: np.ndarray,
+                 code_dims: np.ndarray, code_weights: np.ndarray,
+                 weights: tuple[float, float] = DEFAULT_WEIGHTS) -> None:
+        self.weights = check_weights(weights)
         n = len(ids)
-        position = {vid: r for r, vid in enumerate(ids)}
-        if len(position) != n:
+        if not (len(text) == len(tokens_used) == len(code_ptr) - 1 == n
+                and code_ptr[-1] == len(code_dims) == len(code_weights)):
+            raise ValueError("index arrays disagree on the number of rows")
+        self.ids = ids
+        self._position = {vid: r for r, vid in enumerate(ids)}
+        if len(self._position) != n:
             raise DuplicateIdError("index ids are not unique")
-        for vid in ids:
-            if vid not in doc_vectors:
-                raise UnknownIdError(f"unknown video id: {vid!r}")
-        id_rank = np.empty(n, dtype=np.intp)
-        id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        self.id_rank = np.empty(n, dtype=np.intp)  # rank in sorted order
+        self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
-        docs = [doc_vectors[vid] for vid in ids]
-        dims = {d.dim for d in docs}
-        if len(dims) > 1:
-            raise DimensionMismatchError(
-                f"document vectors differ in dimension: {sorted(dims)}")
-        if docs:
-            check_text_dim(docs[0].dim)
-        unit_text = (np.stack([d.vector for d in docs], dtype=np.float64)
-                     if docs else np.empty((0, 0)))
+        check_text_dim(text.shape[1])
+        # The unit rows start on a 64-byte boundary.  On a 2-CPU Xeon
+        # (AVX-512) host, rows 16 bytes off it scored about 8% slower at
+        # D = 300, so the heap layout that earlier work left would set the
+        # query speed.
+        buf = np.empty(text.size + 8)
+        skip = -buf.ctypes.data % 64 // 8
+        unit_text = buf[skip:skip + text.size].reshape(text.shape)
+        unit_text[...] = text
         if not np.isfinite(unit_text).all():
             raise ValueError("non-finite value in a document vector")
         norms = np.sqrt((unit_text * unit_text).sum(axis=1))
-        used = np.array([d.tokens_used > 0 for d in docs], dtype=bool)
-        has_text = used & (norms > 0)
+        has_text = (np.asarray(tokens_used) > 0) & (norms > 0)
         unit_text[~has_text] = 0.0
         np.divide(unit_text, norms[:, None], out=unit_text,
                   where=has_text[:, None])
+        self.unit_text, self.has_text = unit_text, has_text
+        self.no_text = np.flatnonzero(~has_text)
 
-        rows: list[int] = []
-        entry_dims: list[int] = []
-        weights: list[float] = []
-        for r, vid in enumerate(ids):
-            v = ddc_vectors.get(vid)
-            if v is None:
-                continue
-            for d in sorted(v.weights):
-                rows.append(r)
-                entry_dims.append(d)
-                weights.append(v.weights[d])
-        row = np.array(rows, dtype=np.intp)
-        dim = np.array(entry_dims, dtype=np.intp)
-        weight = np.array(weights, dtype=np.float64)
+        row = np.repeat(np.arange(n), np.diff(code_ptr))
+        dim = np.asarray(code_dims, dtype=np.intp)
+        weight = np.asarray(code_weights, dtype=np.float64)
         if not np.isfinite(weight).all():
             raise ValueError("non-finite value in a fragment vector")
+        if (dim < 0).any() or ((np.diff(dim) <= 0)
+                                & (np.diff(row) == 0)).any():
+            raise ValueError("a row's fragment dimensions must be "
+                             "non-negative and strictly ascending")
         # bincount adds each row's squares in ascending dimension order.
         norms = np.sqrt(np.bincount(row, weights=weight * weight,
                                     minlength=n))
-        has_codes = norms > 0
-        keep = has_codes[row]
+        self.has_codes = norms > 0
+        self.no_codes = np.flatnonzero(~self.has_codes)
+        keep = self.has_codes[row]
         row, dim = row[keep], dim[keep]
         weight = weight[keep] / norms[row]
-
+        # The unit fragment vectors as CSR rows and as postings (per
+        # dimension, the rows that carry it, ascending).
+        self.row_ptr, self.row_dim, self.row_weight = (
+            _offsets(row, n), dim, weight)
         order = np.lexsort((row, dim))
-        n_dims = int(dim.max()) + 1 if len(dim) else 0
-        return cls(
-            position=position, id_rank=id_rank,
-            unit_text=unit_text, has_text=has_text, has_codes=has_codes,
-            no_text=np.flatnonzero(~has_text),
-            no_codes=np.flatnonzero(~has_codes),
-            row_ptr=_offsets(row, n), row_dim=dim, row_weight=weight,
-            dim_ptr=_offsets(dim, n_dims), post_row=row[order],
-            post_weight=weight[order])
-
-
-def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
-    """Start offsets of each key's run in ``keys`` sorted ascending."""
-    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
-
-
-@dataclass
-class CorpusIndex:
-    """Immutable scoring state: per-video vectors in corpus order.
-
-    The kernel's columnar arrays are built once, at construction; an
-    index is not to be changed afterwards.
-    """
-
-    ids: list[str]
-    doc_vectors: dict[str, DocVector]
-    ddc_vectors: dict[str, DdcVector]
-    weights: tuple[float, float] = DEFAULT_WEIGHTS
-    columns: _Columns = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_weights(self.weights)
-        self.columns = _Columns.build(self.ids, self.doc_vectors,
-                                      self.ddc_vectors)
+        self.dim_ptr = _offsets(dim, int(dim.max()) + 1 if len(dim) else 0)
+        self.post_row, self.post_weight = row[order], weight[order]
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def position(self, video_id: str) -> int:
         try:
-            return self.columns.position[video_id]
+            return self._position[video_id]
         except KeyError:
             raise UnknownIdError(f"unknown video id: {video_id!r}") from None
+
+
+def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """Start offsets of each key's run in ``keys`` sorted ascending."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
 
 
 def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
@@ -253,8 +215,7 @@ def check_text_dim(dim: int) -> None:
             "thread count")
 
 
-def _score_row(cols: _Columns, q: int, weights: tuple[float, float],
-               method: str = WITH_LOD):
+def _score_row(index: CorpusIndex, q: int, method: str = WITH_LOD):
     """Scores of row ``q`` against every row: ``s_text``, ``s_ddc`` and
     ``s_lod`` as arrays, NaN where undefined; for ``without_lod`` only
     ``s_text``, the other two None.
@@ -262,32 +223,32 @@ def _score_row(cols: _Columns, q: int, weights: tuple[float, float],
     Fallback rule: if exactly one branch is undefined the combined score
     equals the defined branch; if both are undefined it is undefined.
     """
-    n = len(cols.has_text)
-    if cols.has_text[q]:
-        s_text = np.vecdot(cols.unit_text, cols.unit_text[q])
-        s_text[cols.no_text] = np.nan
+    n = len(index.has_text)
+    if index.has_text[q]:
+        s_text = np.vecdot(index.unit_text, index.unit_text[q])
+        s_text[index.no_text] = np.nan
     else:
         s_text = np.full(n, np.nan)
     if method == WITHOUT_LOD:
         return s_text, None, None
 
-    if cols.has_codes[q]:
-        lo, hi = cols.row_ptr[q], cols.row_ptr[q + 1]
-        q_dims, q_weights = cols.row_dim[lo:hi], cols.row_weight[lo:hi]
-        starts = cols.dim_ptr[q_dims]
-        counts = cols.dim_ptr[q_dims + 1] - starts
+    if index.has_codes[q]:
+        lo, hi = index.row_ptr[q], index.row_ptr[q + 1]
+        q_dims, q_weights = index.row_dim[lo:hi], index.row_weight[lo:hi]
+        starts = index.dim_ptr[q_dims]
+        counts = index.dim_ptr[q_dims + 1] - starts
         # Positions of all postings of the query's dimensions, dimension
         # by dimension; bincount adds them to each row in that order.
         take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
                 + np.arange(counts.sum()))
-        s_ddc = np.bincount(cols.post_row[take],
-                            weights=cols.post_weight[take]
+        s_ddc = np.bincount(index.post_row[take],
+                            weights=index.post_weight[take]
                             * np.repeat(q_weights, counts), minlength=n)
-        s_ddc[cols.no_codes] = np.nan
+        s_ddc[index.no_codes] = np.nan
     else:
         s_ddc = np.full(n, np.nan)
 
-    w_text, w_ddc = weights
+    w_text, w_ddc = index.weights
     s_lod = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
     np.copyto(s_lod, s_text, where=np.isnan(s_ddc))
     np.copyto(s_lod, s_ddc, where=np.isnan(s_text))
@@ -295,7 +256,7 @@ def _score_row(cols: _Columns, q: int, weights: tuple[float, float],
 
 
 def _method_scores(index: CorpusIndex, q: int, method: str) -> np.ndarray:
-    s_text, _, s_lod = _score_row(index.columns, q, index.weights, method)
+    s_text, _, s_lod = _score_row(index, q, method)
     return s_lod if method == WITH_LOD else s_text
 
 
@@ -303,26 +264,15 @@ def _value(x) -> float | None:
     return None if math.isnan(x) else float(x)
 
 
-def combined_similarity(i: str, j: str,
-                        doc_vectors: dict[str, DocVector],
-                        ddc_vectors: dict[str, DdcVector],
-                        weights: tuple[float, float] = DEFAULT_WEIGHTS,
+def combined_similarity(index: CorpusIndex, i: str, j: str
                         ) -> SimilarityScore:
     """Score one pair: both branches plus their combination.
 
-    This is the scoring kernel run on an index of the two videos, so it
-    gives the very bits that ``recommend`` and ``similarity_matrix`` do.
+    This is the kernel's row for ``i`` read at column ``j``, so it gives
+    the very bits that ``recommend`` and ``matrix_blocks`` do.
     """
-    for vid in (i, j):
-        if vid not in doc_vectors:
-            raise UnknownIdError(f"unknown video id: {vid!r}")
-    ids = [i] if i == j else [i, j]
-    pair = CorpusIndex(
-        ids=ids, doc_vectors={vid: doc_vectors[vid] for vid in ids},
-        ddc_vectors={vid: ddc_vectors[vid] for vid in ids
-                     if vid in ddc_vectors}, weights=weights)
-    s_text, s_ddc, s_lod = _score_row(pair.columns, 0, pair.weights)
-    c = len(ids) - 1
+    s_text, s_ddc, s_lod = _score_row(index, index.position(i))
+    c = index.position(j)
     return SimilarityScore(
         pair=(i, j), s_text=_value(s_text[c]), s_ddc=_value(s_ddc[c]),
         s_lod=_value(s_lod[c]),
@@ -349,7 +299,7 @@ def recommend(query_id: str, index: CorpusIndex, k: int,
     key[q] = np.nan  # partition puts NaN last, and NaN <= kth is False
     kth = np.partition(key, k - 1)[k - 1]
     top = np.flatnonzero(key <= kth)
-    top = top[np.lexsort((index.columns.id_rank[top], key[top]))][:k]
+    top = top[np.lexsort((index.id_rank[top], key[top]))][:k]
     ranked = [(index.ids[c], _value(scores[c])) for c in top.tolist()]
     return Recommendation(query_id=query_id, ranked=ranked,
                           method=method, k=k)
@@ -370,13 +320,6 @@ def matrix_blocks(index: CorpusIndex, method: str = WITH_LOD):
                         range(start, min(start + MATRIX_BLOCK_ROWS, n))])
 
 
-def similarity_matrix(index: CorpusIndex,
-                      method: str = WITH_LOD) -> np.ndarray:
-    """The dense N x N stack of ``matrix_blocks``."""
-    return np.vstack([np.empty((0, len(index.ids))),
-                      *matrix_blocks(index, method)])
-
-
 def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
     """Write the matrix to ``out`` as TSV, one block at a time: an id
     header row and column, each cell its float ``repr``, undefined cells
@@ -394,6 +337,5 @@ __all__ = [
     "METHODS", "WITH_LOD", "WITHOUT_LOD", "DEFAULT_WEIGHTS",
     "MATRIX_BLOCK_ROWS", "MAX_TEXT_DIM", "CorpusIndex", "Recommendation",
     "SimilarityScore", "check_text_dim", "check_weights",
-    "combined_similarity", "matrix_blocks", "recommend", "similarity_matrix",
-    "write_matrix_tsv",
+    "combined_similarity", "matrix_blocks", "recommend", "write_matrix_tsv",
 ]

@@ -30,9 +30,5 @@ class UnknownIdError(LodrecError):
     """A video id was requested that is not present in the index."""
 
 
-class DimensionMismatchError(LodrecError):
-    """Two dense vectors of different dimensionality were compared."""
-
-
 class EvaluationError(LodrecError):
     """A statistical precondition does not hold (e.g. zero column total)."""

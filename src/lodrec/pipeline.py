@@ -293,16 +293,19 @@ def _check_manifest(index_dir: Path) -> None:
 
 def load_index(config: PipelineConfig) -> CorpusIndex:
     """Load the index that ``run_index`` wrote, once its manifest vouches
-    for every file; the ids come, in order, from the doc vectors."""
+    for every file; the ids come, in order, from the doc vectors, and
+    the fragment rows must list the same ids in the same order."""
     _check_manifest(config.index_dir)
-    ddc_vectors = load_ddc_vectors(config.index_dir / DDC_VECTORS_FILE)
-    doc_vectors = load_doc_vectors(config.index_dir / DOC_VECTORS_FILE)
-    return CorpusIndex(
-        ids=[v.video_id for v in doc_vectors],
-        doc_vectors={v.video_id: v for v in doc_vectors},
-        ddc_vectors={v.video_id: v for v in ddc_vectors},
-        weights=config.weights,
-    )
+    ddc_path = config.index_dir / DDC_VECTORS_FILE
+    code_ids, code_ptr, code_dims, code_weights = load_ddc_vectors(ddc_path)
+    ids, tokens_used, text = load_doc_vectors(
+        config.index_dir / DOC_VECTORS_FILE)
+    if code_ids != ids:
+        raise LodrecError(f"{ddc_path}: its rows are not the videos of "
+                          f"{DOC_VECTORS_FILE} in the same order; "
+                          "run index again")
+    return CorpusIndex(ids, text, tokens_used, code_ptr, code_dims,
+                       code_weights, weights=config.weights)
 
 
 __all__ = [

@@ -7,6 +7,7 @@ import os
 import random
 import shutil
 import string
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from lodrec.ddc_vectors import (
     vectorize,
 )
 from lodrec.embeddings import DocVector, EmbeddingTable, embed_video
+from lodrec.engine import DEFAULT_WEIGHTS
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -137,7 +139,33 @@ def random_embedding_table(rng: random.Random, dim: int = 8,
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
-def random_micro_index(rng: random.Random) -> CorpusIndex:
+@dataclass
+class Vectors:
+    """A test corpus as per-video ``DocVector`` and ``DdcVector`` maps, in
+    corpus order: the oracles read the maps, and ``index()`` stacks them
+    into the arrays ``CorpusIndex`` is built from.  A video absent from
+    ``codes`` has no codes."""
+
+    ids: list[str]
+    docs: dict[str, DocVector]
+    codes: dict[str, DdcVector] = field(default_factory=dict)
+    weights: tuple[float, float] = DEFAULT_WEIGHTS
+
+    def index(self) -> CorpusIndex:
+        rows = [sorted(self.codes[vid].weights.items())
+                if vid in self.codes else [] for vid in self.ids]
+        text = (np.stack([self.docs[vid].vector for vid in self.ids])
+                if self.ids else np.empty((0, 0)))
+        return CorpusIndex(
+            self.ids, text,
+            np.array([self.docs[vid].tokens_used for vid in self.ids]),
+            np.cumsum([0] + [len(r) for r in rows]),
+            np.array([d for r in rows for d, _ in r], dtype=np.intp),
+            np.array([w for r in rows for _, w in r], dtype=np.float64),
+            weights=self.weights)
+
+
+def random_micro_corpus(rng: random.Random) -> Vectors:
     """Small random corpus with both vector kinds, degenerate cases included.
 
     Bounds: at most 6 videos, 4 tags per video, 3 codes per tag.  Some
@@ -169,13 +197,12 @@ def random_micro_index(rng: random.Random) -> CorpusIndex:
 
     enriched = make_enriched(video_codes)
     vocab = build_vocabulary(enriched)
-    ddc_vectors = {e.video.id: vectorize(e, vocab) for e in enriched}
-    doc_vectors = {r.id: embed_video(r, table) for r in records}
-    return CorpusIndex(ids=[r.id for r in records],
-                       doc_vectors=doc_vectors, ddc_vectors=ddc_vectors)
+    return Vectors(ids=[r.id for r in records],
+                   docs={r.id: embed_video(r, table) for r in records},
+                   codes={e.video.id: vectorize(e, vocab) for e in enriched})
 
 
-def hierarchy_index() -> CorpusIndex:
+def hierarchy_corpus() -> Vectors:
     """Four videos with identical text and tiered code overlap.
 
     Pair (a1, a2) carries the same deep code, so its fragment vectors
@@ -192,21 +219,20 @@ def hierarchy_index() -> CorpusIndex:
     }
     enriched = make_enriched(video_codes)
     vocab = build_vocabulary(enriched)
-    ddc_vectors = {e.video.id: vectorize(e, vocab) for e in enriched}
+    codes = {e.video.id: vectorize(e, vocab) for e in enriched}
 
     dim = 4
     table = EmbeddingTable(dim=dim, vectors={
         "wissenschaft": np.array([0.5, 0.1, -0.3, 0.2]),
         "video": np.array([0.1, 0.4, 0.2, -0.1]),
     })
-    doc_vectors = {}
+    docs = {}
     for vid in video_codes:
         record = VideoRecord(id=vid, language="de",
                              title="Wissenschaft Video", abstract="",
                              tags=())
-        doc_vectors[vid] = embed_video(record, table)
-    return CorpusIndex(ids=sorted(video_codes),
-                       doc_vectors=doc_vectors, ddc_vectors=ddc_vectors)
+        docs[vid] = embed_video(record, table)
+    return Vectors(ids=sorted(video_codes), docs=docs, codes=codes)
 
 
 def kernel_matrix(index: CorpusIndex, method: str) -> np.ndarray:
@@ -226,7 +252,7 @@ def cell_by_cell_tsv(ids: list[str], matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def former_glue(cols, q: int, weights: tuple[float, float],
+def former_glue(cols: CorpusIndex, q: int, weights: tuple[float, float],
                 text_dots: np.ndarray) -> tuple:
     """The kernel's per-query glue as it was first written, for a check
     that the trimmed glue keeps every bit: each route starts from
@@ -358,5 +384,5 @@ def kernel_cosines(text=None, codes=None) -> tuple:
             for vid, v in zip("ij", text)}
     ddc = {vid: DdcVector(vid, dict(w))
            for vid, w in zip("ij", codes or ())}
-    s = combined_similarity("i", "j", docs, ddc)
+    s = combined_similarity(Vectors(["i", "j"], docs, ddc).index(), "i", "j")
     return s.s_text, s.s_ddc

@@ -39,11 +39,12 @@ from lodrec.special import regularized_gamma_q
 
 from conftest import (
     RATINGS_CSV,
+    Vectors,
     dense_cosine,
-    hierarchy_index,
+    hierarchy_corpus,
     make_enriched,
     random_embedding_table,
-    random_micro_index,
+    random_micro_corpus,
     write_toy_config,
 )
 
@@ -100,8 +101,7 @@ def brute_force_ranking(index, query, method):
     for other in index.ids:
         if other == query:
             continue
-        s = combined_similarity(query, other, index.doc_vectors,
-                                index.ddc_vectors, index.weights)
+        s = combined_similarity(index, query, other)
         scored.append((other, s.for_method(method)))
     defined = sorted((p for p in scored if p[1] is not None),
                      key=lambda p: (-p[1], p[0]))
@@ -115,8 +115,9 @@ def test_acceptance_4_sparse_cosine_and_ranking_oracles(report):
                    "matches a brute-force sort exactly"):
         rng = random.Random(103)
         for _ in range(100):
-            index = random_micro_index(rng)
-            dim = 1 + max((d for v in index.ddc_vectors.values()
+            corpus = random_micro_corpus(rng)
+            index = corpus.index()
+            dim = 1 + max((d for v in corpus.codes.values()
                            for d in v.weights), default=0)
 
             def dense(v):
@@ -127,11 +128,9 @@ def test_acceptance_4_sparse_cosine_and_ranking_oracles(report):
 
             for i in index.ids:
                 for j in index.ids:
-                    sparse = combined_similarity(
-                        i, j, index.doc_vectors, index.ddc_vectors,
-                        index.weights).s_ddc
-                    ref = dense_cosine(dense(index.ddc_vectors[i]),
-                                       dense(index.ddc_vectors[j]))
+                    sparse = combined_similarity(index, i, j).s_ddc
+                    ref = dense_cosine(dense(corpus.codes[i]),
+                                       dense(corpus.codes[j]))
                     if sparse is None:
                         assert ref is None
                     else:
@@ -149,11 +148,9 @@ def test_acceptance_5_hierarchy_depth_sensitivity(report):
     with report(5, "a pair sharing a deep code outranks a pair sharing "
                    "only the top-level class, and only when code evidence "
                    "is used"):
-        index = hierarchy_index()
-        deep = combined_similarity("a1", "a2", index.doc_vectors,
-                                   index.ddc_vectors)
-        shallow = combined_similarity("b1", "b2", index.doc_vectors,
-                                      index.ddc_vectors)
+        index = hierarchy_corpus().index()
+        deep = combined_similarity(index, "a1", "a2")
+        shallow = combined_similarity(index, "b1", "b2")
         assert deep.for_method(WITH_LOD) > shallow.for_method(WITH_LOD)
         assert deep.for_method(WITHOUT_LOD) == shallow.for_method(WITHOUT_LOD)
 
@@ -187,8 +184,8 @@ def test_acceptance_6_embedding_determinism(report):
                 id="c", language="de",
                 title=" ".join(rng.choices(tokens, k=5)), abstract="",
                 tags=()), table)
-            s = combined_similarity("a", "c", {"a": a, "c": other},
-                                    {}).s_text
+            pair = Vectors(["a", "c"], {"a": a, "c": other}).index()
+            s = combined_similarity(pair, "a", "c").s_text
             assert s is not None and abs(s) <= 1.0 + 1e-12
 
 

@@ -220,6 +220,46 @@ class TestMatrix:
             assert out == expected
 
 
+class TestGolden:
+    """The bytes of ``matrix`` and ``recommend`` on the shipped toy data,
+    pinned by digest: a change to the scoring or the index layout must
+    leave every one of them as it is."""
+
+    MATRIX = {
+        "with_lod": "d19cfa34bbf708f868f06b15df728f18460facd667ce5870ce05b4d49591ef82",
+        "without_lod": "87bc388be1b37b8521d221d386e313853e9d97320213a1aa0d6f2fded911e6a9",
+    }
+    RECOMMEND = "f5dd7cfe0a85ce9c0ee76f2cf294424ea4d9496d046a3aeb5c4354909d52d162"
+
+    @pytest.fixture()
+    def toy_config(self, capsys, toy_run):
+        config = str(toy_run / "config.txt")
+        assert main(["ingest", "--config", config]) == EXIT_OK
+        assert main(["index", "--config", config]) == EXIT_OK
+        capsys.readouterr()
+        return config
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matrix_bytes(self, capsys, toy_config, method):
+        code, out, err = run_cli(capsys, "matrix", "--config", toy_config,
+                                 "--method", method)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            self.MATRIX[method]
+
+    def test_every_recommend_answer(self, capsys, toy_config):
+        ids = load_index(load_config(toy_config)).ids
+        digest = hashlib.sha256()
+        for method in METHODS:
+            for query in ids:
+                code, out, err = run_cli(
+                    capsys, "recommend", "--config", toy_config, query,
+                    "--k", str(len(ids) - 1), "--method", method)
+                assert (code, err) == (EXIT_OK, "")
+                digest.update(out.encode())
+        assert digest.hexdigest() == self.RECOMMEND
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:-10])
 

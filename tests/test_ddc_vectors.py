@@ -20,9 +20,10 @@ from lodrec.ddc_vectors import (
     vectorize,
 )
 from lodrec.embeddings import DocVector
-from lodrec.errors import DimensionMismatchError, ParseError
+from lodrec.errors import ParseError
 
 from conftest import (
+    Vectors,
     former_build_vocabulary,
     former_vectorize,
     kernel_cosines,
@@ -120,7 +121,6 @@ class TestVectorize:
         vocab = build_vocabulary(enriched)
         empty = vectorize(enriched[1], vocab)
         assert empty.weights == {}
-        assert not empty
 
     def test_weights_positive_dims_in_range(self, toy_enriched):
         vocab = build_vocabulary(toy_enriched)
@@ -149,7 +149,8 @@ def s_ddc(v_i, v_j):
     """The kernel's code-route cosine of two fragment vectors."""
     v_i, v_j = replace(v_i, video_id="i"), replace(v_j, video_id="j")
     docs = {vid: DocVector(vid, np.zeros(1), 0, 0) for vid in "ij"}
-    return combined_similarity("i", "j", docs, {"i": v_i, "j": v_j}).s_ddc
+    index = Vectors(["i", "j"], docs, {"i": v_i, "j": v_j}).index()
+    return combined_similarity(index, "i", "j").s_ddc
 
 
 def random_coded_videos(rng: random.Random, n: int,
@@ -260,10 +261,6 @@ class TestCosine:
         assert kernel_cosines(codes=({}, {0: 1.0}))[1] is None
         assert kernel_cosines(codes=({}, {}))[1] is None
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            kernel_cosines((np.ones(3), np.ones(4)))
-
     def test_sparse_matches_dense_brute_force(self):
         rng = random.Random(17)
         for _ in range(100):
@@ -360,9 +357,11 @@ class TestSerialization:
         vectors = [vectorize(e, vocab) for e in toy_enriched]
         out = tmp_path / "vectors.tsv"
         save_ddc_vectors(vectors, out)
-        reloaded = load_ddc_vectors(out)
-        assert [(v.video_id, v.weights) for v in reloaded] == \
-            [(v.video_id, v.weights) for v in vectors]
+        ids, ptr, dims, weights = load_ddc_vectors(out)
+        assert ids == [v.video_id for v in vectors]
+        assert [list(zip(dims[a:b].tolist(), weights[a:b].tolist()))
+                for a, b in zip(ptr, ptr[1:])] == \
+            [sorted(v.weights.items()) for v in vectors]
 
     def test_bad_weight_cell_names_line(self, tmp_path):
         out = tmp_path / "vectors.tsv"
@@ -376,4 +375,19 @@ class TestSerialization:
         out.write_text(f"v1\t0:1.0\nv2\t0:1.0,3:{weight}\n",
                        encoding="utf-8")
         with pytest.raises(ParseError, match=r"vectors\.tsv:2: non-finite"):
+            load_ddc_vectors(out)
+
+    @pytest.mark.parametrize("cells", [
+        "3:0.5,3:0.7,1:0.2",  # a repeated dimension, then a descending one
+        "3:0.5,1:0.2", "-1:0.5"])
+    def test_dimension_out_of_order_names_line(self, tmp_path, cells):
+        # "3:0.5,3:0.7,1:0.2" once loaded as {3: 0.7, 1: 0.2}: the first
+        # weight was dropped without a word.
+        out = tmp_path / "vectors.tsv"
+        out.write_text(f"v0\t0:1.0,2:0.5\n\nv1\t{cells}\n",
+                       encoding="utf-8")
+        with pytest.raises(ParseError, match=(
+                r"vectors\.tsv:3: dimension out of order in '[-\d]+:[\d.]+'"
+                ": a row's dimensions must be non-negative and strictly "
+                "ascending")):
             load_ddc_vectors(out)

@@ -33,9 +33,13 @@ from lodrec.embeddings import (
     save_doc_vectors,
     video_tokens,
 )
-from lodrec.errors import DimensionMismatchError
 
-from conftest import TOY, former_save_doc_vectors, random_embedding_table
+from conftest import (
+    TOY,
+    Vectors,
+    former_save_doc_vectors,
+    random_embedding_table,
+)
 
 
 def write_table(tmp_path, lines, name="vectors.txt"):
@@ -711,7 +715,8 @@ class TestEmbedVideo:
 def s_text(a: DocVector, b: DocVector):
     """The kernel's text-route cosine of two doc vectors."""
     a, b = replace(a, video_id="a"), replace(b, video_id="b")
-    return combined_similarity("a", "b", {"a": a, "b": b}, {}).s_text
+    index = Vectors(["a", "b"], {"a": a, "b": b}).index()
+    return combined_similarity(index, "a", "b").s_text
 
 
 class TestTextSimilarity:
@@ -730,12 +735,6 @@ class TestTextSimilarity:
         bad = DocVector("b", np.zeros(2), 0, 3)
         assert s_text(good, bad) is None
         assert s_text(bad, bad) is None
-
-    def test_dimension_mismatch(self):
-        a = DocVector("a", np.ones(2), 1, 0)
-        b = DocVector("b", np.ones(3), 1, 0)
-        with pytest.raises(DimensionMismatchError):
-            s_text(a, b)
 
     def test_symmetry_and_bounds_on_random_pairs(self):
         rng = random.Random(47)
@@ -760,12 +759,10 @@ class TestDocVectorCache:
             for _ in range(4)]
         out = tmp_path / "docs.tsv"
         save_doc_vectors(docs, out)
-        reloaded = load_doc_vectors(out)
-        for before, after in zip(docs, reloaded):
-            assert after.video_id == before.video_id
-            assert after.tokens_used == before.tokens_used
-            assert after.tokens_missed == before.tokens_missed
-            assert np.array_equal(after.vector, before.vector)
+        ids, tokens_used, vectors = load_doc_vectors(out)
+        assert ids == [d.video_id for d in docs]
+        assert tokens_used.tolist() == [d.tokens_used for d in docs]
+        assert np.array_equal(vectors, np.stack([d.vector for d in docs]))
 
     def test_malformed_row_names_line(self, tmp_path):
         out = tmp_path / "docs.tsv"
@@ -784,9 +781,8 @@ class TestDocVectorCache:
                 for r, row in enumerate(values)]
         out = tmp_path / "docs.tsv"
         save_doc_vectors(docs, out)
-        reloaded = load_doc_vectors(out)
-        assert [d.video_id for d in reloaded] == [d.video_id for d in docs]
-        got = np.stack([d.vector for d in reloaded])
+        ids, _, got = load_doc_vectors(out)
+        assert ids == [d.video_id for d in docs]
         assert np.array_equal(got.view(np.int64), values.view(np.int64))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -25,17 +25,17 @@ from lodrec import (
 )
 from lodrec.ddc_vectors import DdcVector
 from lodrec.embeddings import DocVector
-from lodrec.engine import _score_row, matrix_blocks, similarity_matrix
-from lodrec.errors import DimensionMismatchError
+from lodrec.engine import _score_row, matrix_blocks
 
 from conftest import (
+    Vectors,
     cell_by_cell_tsv,
     dense_cosine,
     former_glue,
     former_top_k,
-    hierarchy_index,
+    hierarchy_corpus,
     kernel_matrix,
-    random_micro_index,
+    random_micro_corpus,
     sparse_cosine,
 )
 
@@ -46,8 +46,7 @@ def brute_force_ranking(index: CorpusIndex, query: str, method: str):
     for other in index.ids:
         if other == query:
             continue
-        s = combined_similarity(query, other, index.doc_vectors,
-                                index.ddc_vectors, index.weights)
+        s = combined_similarity(index, query, other)
         scored.append((other, s.for_method(method)))
     defined = sorted((p for p in scored if p[1] is not None),
                      key=lambda p: (-p[1], p[0]))
@@ -66,12 +65,20 @@ def two_doc_vectors(a, b):
             "j": DocVector("j", np.asarray(b, dtype=float), 1, 0)}
 
 
+def pair_similarity(docs, codes=None, weights=engine.DEFAULT_WEIGHTS,
+                    j: str = "j"):
+    """``combined_similarity`` of ("i", ``j``) on an index of the videos
+    "i" and "j"."""
+    index = Vectors(["i", "j"], docs, codes or {}, weights).index()
+    return combined_similarity(index, "i", j)
+
+
 class TestCombinedSimilarity:
     def test_mean_of_both_branches(self):
         # both cosines exactly 0.8: (4,3)x(1,0) and {1.5,2}x{0,2.5}
         docs = two_doc_vectors([4.0, 3.0], [1.0, 0.0])
-        s = combined_similarity(
-            "i", "j", docs,
+        s = pair_similarity(
+            docs,
             {"i": _sparse("i", {0: 1.5, 1: 2.0}),
              "j": _sparse("j", {1: 2.5})})
         assert s.s_text == 0.8
@@ -82,9 +89,9 @@ class TestCombinedSimilarity:
 
     def test_fallback_to_text_branch(self):
         docs = two_doc_vectors([4.0, 3.0], [1.0, 0.0])
-        s = combined_similarity("i", "j", docs,
-                                {"i": _sparse("i", {0: 1.0}),
-                                 "j": _sparse("j", {})})
+        s = pair_similarity(docs,
+                            {"i": _sparse("i", {0: 1.0}),
+                             "j": _sparse("j", {})})
         assert s.s_ddc is None
         assert s.s_lod == s.s_text == 0.8
         assert s.fallback_applied
@@ -92,9 +99,9 @@ class TestCombinedSimilarity:
     def test_fallback_to_fragment_branch(self):
         docs = {"i": DocVector("i", np.zeros(2), 0, 1),
                 "j": DocVector("j", np.array([1.0, 0.0]), 1, 0)}
-        s = combined_similarity("i", "j", docs,
-                                {"i": _sparse("i", {0: 1.0}),
-                                 "j": _sparse("j", {0: 2.0})})
+        s = pair_similarity(docs,
+                            {"i": _sparse("i", {0: 1.0}),
+                             "j": _sparse("j", {0: 2.0})})
         assert s.s_text is None
         assert s.s_lod == s.s_ddc == pytest.approx(1.0, abs=1e-12)
         assert s.fallback_applied
@@ -102,25 +109,24 @@ class TestCombinedSimilarity:
     def test_both_undefined(self):
         docs = {"i": DocVector("i", np.zeros(2), 0, 1),
                 "j": DocVector("j", np.zeros(2), 0, 1)}
-        s = combined_similarity("i", "j", docs, {})
+        s = pair_similarity(docs)
         assert s.s_lod is None
         assert not s.fallback_applied
 
     def test_self_pair_scores_one(self):
         docs = two_doc_vectors([1.0, 2.0], [1.0, 2.0])
-        s = combined_similarity("i", "j", docs,
-                                {"i": _sparse("i", {0: 1.0, 2: 0.5}),
-                                 "j": _sparse("j", {0: 1.0, 2: 0.5})})
+        s = pair_similarity(docs,
+                            {"i": _sparse("i", {0: 1.0, 2: 0.5}),
+                             "j": _sparse("j", {0: 1.0, 2: 0.5})})
         assert s.s_lod == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_mean_invariant_on_random_indices(self):
         rng = random.Random(61)
         for _ in range(20):
-            index = random_micro_index(rng)
+            index = random_micro_corpus(rng).index()
             for i in index.ids:
                 for j in index.ids:
-                    s = combined_similarity(i, j, index.doc_vectors,
-                                            index.ddc_vectors, index.weights)
+                    s = combined_similarity(index, i, j)
                     if s.s_text is not None and s.s_ddc is not None:
                         assert s.s_lod == (s.s_text + s.s_ddc) / 2
                         assert not s.fallback_applied
@@ -128,32 +134,26 @@ class TestCombinedSimilarity:
     def test_custom_weights(self):
         docs = two_doc_vectors([4.0, 3.0], [1.0, 0.0])
         ddc = {"i": _sparse("i", {0: 1.0}), "j": _sparse("j", {0: 3.0})}
-        s = combined_similarity("i", "j", docs, ddc, weights=(1.0, 3.0))
+        s = pair_similarity(docs, ddc, weights=(1.0, 3.0))
         assert s.s_lod == (1.0 * s.s_text + 3.0 * s.s_ddc) / 4.0
 
     def test_unknown_id_rejected(self):
         docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(UnknownIdError, match="ghost"):
-            combined_similarity("i", "ghost", docs, {})
+            pair_similarity(docs, j="ghost")
 
     @pytest.mark.parametrize("weights", [(-1.0, 1.0), (0.0, 0.0)])
     def test_invalid_weights_rejected(self, weights):
         docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            combined_similarity("i", "j", docs, {}, weights=weights)
-
-    def test_dimension_mismatch_rejected(self):
-        docs = {"i": DocVector("i", np.ones(2), 1, 0),
-                "j": DocVector("j", np.ones(3), 1, 0)}
-        with pytest.raises(DimensionMismatchError):
-            combined_similarity("i", "j", docs, {})
+            pair_similarity(docs, weights=weights)
 
     @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf)])
     def test_non_finite_weights_rejected(self, weights):
         # A NaN weight made every score NaN and the ranking arbitrary.
         docs = two_doc_vectors([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
-            combined_similarity("i", "j", docs, {}, weights=weights)
+            pair_similarity(docs, weights=weights)
 
 
 class TestKernel:
@@ -162,10 +162,9 @@ class TestKernel:
         (0.0, 0.0)])
     def test_index_refuses_bad_weights_at_construction(self, weights):
         # Refused before any query: recommend and matrix never see them.
-        base = hierarchy_index()
+        base = hierarchy_corpus()
         with pytest.raises(ValueError, match="finite"):
-            CorpusIndex(ids=base.ids, doc_vectors=base.doc_vectors,
-                        ddc_vectors=base.ddc_vectors, weights=weights)
+            replace(base, weights=weights).index()
 
     def test_routes_match_scalar_oracles(self):
         """Each route of the kernel agrees with the reference cosine of
@@ -173,19 +172,19 @@ class TestKernel:
         acceptance 4's 100 random micro-corpora."""
         rng = random.Random(103)
         for _ in range(100):
-            index = random_micro_index(rng)
+            corpus = random_micro_corpus(rng)
+            index = corpus.index()
             for i in index.ids:
                 for j in index.ids:
-                    s = combined_similarity(i, j, index.doc_vectors,
-                                            index.ddc_vectors, index.weights)
-                    d_i, d_j = index.doc_vectors[i], index.doc_vectors[j]
+                    s = combined_similarity(index, i, j)
+                    d_i, d_j = corpus.docs[i], corpus.docs[j]
                     text_ref = (None if d_i.degenerate or d_j.degenerate
                                 else dense_cosine(d_i.vector, d_j.vector))
                     for got, ref in (
                             (s.s_text, text_ref),
                             (s.s_ddc, sparse_cosine(
-                                index.ddc_vectors[i].weights,
-                                index.ddc_vectors[j].weights))):
+                                corpus.codes[i].weights,
+                                corpus.codes[j].weights))):
                         if ref is None:
                             assert got is None
                         else:
@@ -203,51 +202,67 @@ class TestKernel:
         docs = {vid: DocVector(vid, rng.normal(size=dim), 1, 0)
                 for vid in ("a", "b")}
         if dim <= engine.MAX_TEXT_DIM:
-            index = CorpusIndex(ids=["a", "b"], doc_vectors=docs,
-                                ddc_vectors={})
-            s = combined_similarity("a", "b", docs, {})
-            assert s.s_text == _score_row(index.columns, 0,
-                                          index.weights)[0][1]
+            index = Vectors(["a", "b"], docs).index()
+            s = combined_similarity(index, "a", "b")
+            assert s.s_text == _score_row(index, 0)[0][1]
             return
         message = (f"word vectors have dimension {dim}, above the limit of "
                    "10000: OpenBLAS splits a longer dot product across its "
                    "threads")
         with pytest.raises(ValueError, match=message):
-            CorpusIndex(ids=["a", "b"], doc_vectors=docs, ddc_vectors={})
-        with pytest.raises(ValueError, match=message):
-            combined_similarity("a", "b", docs, {})
+            Vectors(["a", "b"], docs).index()
+
+    @pytest.mark.parametrize("ptr, dims, match", [
+        ([0, 2, 3], [4, 4, 1], "strictly ascending"),  # a repeated dimension
+        ([0, 2, 3], [4, 1, 1], "strictly ascending"),  # a descending one
+        ([0, 1, 2], [-1, 0], "non-negative"),
+        ([0, 1], [0], "disagree on the number of rows"),  # one row short
+        ([0, 1, 3], [0, 1], "disagree on the number of rows"),
+    ])
+    def test_index_refuses_malformed_code_rows(self, ptr, dims, match):
+        # Rows are read by position, and each row's dimensions in order.
+        with pytest.raises(ValueError, match=match):
+            CorpusIndex(["a", "b"], np.ones((2, 3)), np.ones(2),
+                        np.array(ptr), np.array(dims),
+                        np.ones(len(dims)))
+
+    @pytest.mark.parametrize("dim", [1, 3, 300])
+    def test_unit_rows_start_on_a_64_byte_boundary(self, dim):
+        # Whatever the heap layout: the query speed depends on it.
+        for n in (1, 2, 7):
+            index = _random_text_corpus(np.random.default_rng(n), n=n,
+                                        dim=dim).index()
+            assert index.unit_text.ctypes.data % 64 == 0
+            assert index.unit_text.flags.c_contiguous
 
     def test_index_rejects_non_finite_vectors(self):
-        base = hierarchy_index()
-        docs = dict(base.doc_vectors)
+        base = hierarchy_corpus()
+        docs = dict(base.docs)
         docs["a2"] = DocVector("a2", np.array([1.0, np.nan, 0.0, 0.0]), 1, 0)
         with pytest.raises(ValueError, match="non-finite"):
-            CorpusIndex(ids=base.ids, doc_vectors=docs,
-                        ddc_vectors=base.ddc_vectors)
+            replace(base, docs=docs).index()
 
 
 def _sparse(vid, weights):
     return DdcVector(video_id=vid, weights=weights)
 
 
-def _with_ghost(index: CorpusIndex) -> CorpusIndex:
-    """A new index: ``index`` plus a video with neither text nor fragment
-    evidence (an index is immutable once built)."""
-    dim = next(iter(index.doc_vectors.values())).vector.shape[0]
-    return CorpusIndex(
-        ids=index.ids + ["ghost"],
-        doc_vectors={**index.doc_vectors,
-                     "ghost": DocVector("ghost", np.zeros(dim), 0, 2)},
-        ddc_vectors={**index.ddc_vectors,
-                     "ghost": DdcVector(video_id="ghost", weights={})},
-        weights=index.weights)
+def _with_ghost(corpus: Vectors) -> Vectors:
+    """``corpus`` plus a video with neither text nor fragment evidence."""
+    dim = next(iter(corpus.docs.values())).vector.shape[0]
+    return replace(
+        corpus, ids=corpus.ids + ["ghost"],
+        docs={**corpus.docs,
+              "ghost": DocVector("ghost", np.zeros(dim), 0, 2)},
+        codes={**corpus.codes,
+               "ghost": DdcVector(video_id="ghost", weights={})})
 
 
 class TestRecommend:
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(67)
         for _ in range(30):
-            index = random_micro_index(rng)
+            index = random_micro_corpus(rng).index()
             query = rng.choice(index.ids)
             k = rng.randint(1, len(index) - 1)
             for method in (WITH_LOD, WITHOUT_LOD):
@@ -256,19 +271,19 @@ class TestRecommend:
                 assert got.ranked == expected
 
     def test_full_k_returns_all_candidates(self):
-        index = hierarchy_index()
+        index = hierarchy_corpus().index()
         rec = recommend("a1", index, k=3)
         assert len(rec.ranked) == 3
         assert "a1" not in [vid for vid, _ in rec.ranked]
 
     def test_ties_break_by_ascending_id(self):
-        index = hierarchy_index()
+        index = hierarchy_corpus().index()
         # b1 and b2 tie for a1 under without_lod (identical text evidence)
         rec = recommend("a1", index, k=3, method=WITHOUT_LOD)
         assert [vid for vid, _ in rec.ranked] == ["a2", "b1", "b2"]
 
     def test_k_out_of_range(self):
-        index = hierarchy_index()
+        index = hierarchy_corpus().index()
         with pytest.raises(ValueError):
             recommend("a1", index, k=0)
         with pytest.raises(ValueError):
@@ -276,34 +291,33 @@ class TestRecommend:
 
     def test_unknown_query(self):
         with pytest.raises(UnknownIdError):
-            recommend("nope", hierarchy_index(), k=1)
+            recommend("nope", hierarchy_corpus().index(), k=1)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            recommend("a1", hierarchy_index(), k=1, method="hybrid")
+            recommend("a1", hierarchy_corpus().index(), k=1, method="hybrid")
 
     def test_methods_agree_when_fragment_branch_is_undefined(self):
         rng = random.Random(71)
         for _ in range(20):
-            index = random_micro_index(rng)
+            index = random_micro_corpus(rng).index()
             for i in index.ids:
                 for j in index.ids:
                     if i == j:
                         continue
-                    s = combined_similarity(i, j, index.doc_vectors,
-                                            index.ddc_vectors, index.weights)
+                    s = combined_similarity(index, i, j)
                     if s.s_ddc is None:
                         assert s.for_method(WITH_LOD) == \
                             s.for_method(WITHOUT_LOD)
 
     def test_repeat_runs_are_bit_identical(self):
-        index = hierarchy_index()
+        index = hierarchy_corpus().index()
         first = recommend("a1", index, k=3)
         second = recommend("a1", index, k=3)
         assert first.ranked == second.ranked
 
     def test_json_shape(self):
-        rec = recommend("a1", hierarchy_index(), k=2)
+        rec = recommend("a1", hierarchy_corpus().index(), k=2)
         obj = rec.to_json_obj()
         assert set(obj) == {"query", "method", "k", "results"}
         assert all(set(r) == {"id", "score"} for r in obj["results"])
@@ -311,11 +325,9 @@ class TestRecommend:
 
 class TestHierarchySensitivity:
     def test_deep_shared_fragment_outranks_shallow(self):
-        index = hierarchy_index()
-        deep = combined_similarity("a1", "a2", index.doc_vectors,
-                                   index.ddc_vectors)
-        shallow = combined_similarity("b1", "b2", index.doc_vectors,
-                                      index.ddc_vectors)
+        index = hierarchy_corpus().index()
+        deep = combined_similarity(index, "a1", "a2")
+        shallow = combined_similarity(index, "b1", "b2")
         # text branches identical, so only fragment evidence separates them
         assert deep.s_text == shallow.s_text
         assert deep.for_method(WITH_LOD) > shallow.for_method(WITH_LOD)
@@ -324,19 +336,18 @@ class TestHierarchySensitivity:
 
 class TestSimilarityMatrix:
     def test_symmetric_with_unit_diagonal(self):
-        index = hierarchy_index()
-        matrix = similarity_matrix(index)
+        index = hierarchy_corpus().index()
+        matrix = kernel_matrix(index, WITH_LOD)
         assert np.array_equal(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 1.0, atol=1e-12)
 
     def test_elementwise_oracle(self):
         rng = random.Random(73)
-        index = random_micro_index(rng)
-        matrix = similarity_matrix(index)
+        index = random_micro_corpus(rng).index()
+        matrix = kernel_matrix(index, WITH_LOD)
         for r, i in enumerate(index.ids):
             for c, j in enumerate(index.ids):
-                s = combined_similarity(i, j, index.doc_vectors,
-                                        index.ddc_vectors, index.weights)
+                s = combined_similarity(index, i, j)
                 expected = s.for_method(WITH_LOD)
                 if expected is None:
                     assert np.isnan(matrix[r, c])
@@ -344,17 +355,17 @@ class TestSimilarityMatrix:
                     assert matrix[r, c] == expected
 
     def test_no_evidence_video_row_is_all_undefined(self):
-        index = _with_ghost(hierarchy_index())
-        matrix = similarity_matrix(index)
+        index = _with_ghost(hierarchy_corpus()).index()
+        matrix = kernel_matrix(index, WITH_LOD)
         assert np.all(np.isnan(matrix[-1]))
         assert np.all(np.isnan(matrix[:, -1]))
 
     def test_symmetric_and_equal_to_recommend(self):
         rng = random.Random(83)
         for _ in range(20):
-            index = _with_ghost(random_micro_index(rng))
+            index = _with_ghost(random_micro_corpus(rng)).index()
             for method in (WITH_LOD, WITHOUT_LOD):
-                matrix = similarity_matrix(index, method)
+                matrix = kernel_matrix(index, method)
                 assert np.array_equal(matrix, matrix.T, equal_nan=True)
                 for r, query in enumerate(index.ids):
                     rec = recommend(query, index, len(index) - 1, method)
@@ -368,8 +379,8 @@ class TestSimilarityMatrix:
 
     def test_tsv_is_the_cell_by_cell_format(self):
         """Pins the output of the former cell-by-cell writer, byte for byte."""
-        index = _with_ghost(random_micro_index(random.Random(89)))
-        matrix = similarity_matrix(index)
+        index = _with_ghost(random_micro_corpus(random.Random(89))).index()
+        matrix = kernel_matrix(index, WITH_LOD)
         lines = ["\t" + "\t".join(index.ids)]
         for r, vid in enumerate(index.ids):
             cells = ["" if np.isnan(matrix[r, c])
@@ -379,7 +390,7 @@ class TestSimilarityMatrix:
         assert matrix_tsv(index) == "\n".join(lines) + "\n"
 
     def test_tsv_export(self):
-        index = _with_ghost(hierarchy_index())
+        index = _with_ghost(hierarchy_corpus()).index()
         text = matrix_tsv(index)
         lines = text.strip("\n").split("\n")
         assert lines[0].split("\t") == ["", "a1", "a2", "b1", "b2", "ghost"]
@@ -413,20 +424,19 @@ def lexsort_ranking(scores: np.ndarray, q: int, ids: list[str], k: int):
             for c in order.tolist()]
 
 
-def _with_reuploads(index: CorpusIndex, vids: list[str],
-                    rng: random.Random) -> CorpusIndex:
-    """A new index: ``index`` plus two copies of each of ``vids`` at random
-    places, as ``a_<id>`` and ``<id>_re``, so their scores tie exactly."""
-    ids = list(index.ids)
-    docs, ddcs = dict(index.doc_vectors), dict(index.ddc_vectors)
+def _with_reuploads(corpus: Vectors, vids: list[str],
+                    rng: random.Random) -> Vectors:
+    """``corpus`` plus two copies of each of ``vids`` at random places, as
+    ``a_<id>`` and ``<id>_re``, so their scores tie exactly."""
+    ids = list(corpus.ids)
+    docs, codes = dict(corpus.docs), dict(corpus.codes)
     for vid in vids:
         for copy in (f"a_{vid}", f"{vid}_re"):
             ids.insert(rng.randint(0, len(ids)), copy)
             docs[copy] = replace(docs[vid], video_id=copy)
-            if vid in ddcs:
-                ddcs[copy] = replace(ddcs[vid], video_id=copy)
-    return CorpusIndex(ids=ids, doc_vectors=docs, ddc_vectors=ddcs,
-                       weights=index.weights)
+            if vid in codes:
+                codes[copy] = replace(codes[vid], video_id=copy)
+    return replace(corpus, ids=ids, docs=docs, codes=codes)
 
 
 _SCORE_POOL = [math.nan, 0.0, -0.0, 0.5, -0.5, 1.0, 0.25]
@@ -445,10 +455,8 @@ class TestSelection:
             min_size=n, max_size=n)))
         ids = data.draw(st.permutations([f"v{i:02d}" for i in range(n)]))
         q = data.draw(st.integers(0, n - 1))
-        index = CorpusIndex(
-            ids=ids, ddc_vectors={},
-            doc_vectors={vid: DocVector(vid, np.ones(1), 1, 0)
-                         for vid in ids})
+        index = Vectors(ids, {vid: DocVector(vid, np.ones(1), 1, 0)
+                              for vid in ids}).index()
         with mock.patch.object(engine, "_method_scores",
                                lambda *_: scores.copy()):
             for method in METHODS:
@@ -460,9 +468,10 @@ class TestSelection:
     def test_recommend_matches_full_lexsort_on_micro_indexes(self):
         rng = random.Random(109)
         for _ in range(25):
-            index = random_micro_index(rng)
+            corpus = random_micro_corpus(rng)
             index = _with_ghost(_with_reuploads(
-                index, rng.sample(index.ids, min(3, len(index))), rng))
+                corpus, rng.sample(corpus.ids, min(3, len(corpus.ids))),
+                rng)).index()
             for method in METHODS:
                 matrix = kernel_matrix(index, method)
                 for q, query in enumerate(index.ids):
@@ -478,38 +487,36 @@ class TestSelection:
         with a ghost video and re-uploads in every index."""
         rng = random.Random(113)
         for _ in range(25):
-            base = random_micro_index(rng)
-            base = CorpusIndex(
-                ids=base.ids, doc_vectors=base.doc_vectors,
-                ddc_vectors=base.ddc_vectors,
+            base = replace(
+                random_micro_corpus(rng),
                 weights=rng.choice([(0.5, 0.5), (0.3, 0.9), (1.0, 0.0)]))
             index = _with_ghost(_with_reuploads(
-                base, rng.sample(base.ids, min(3, len(base))), rng))
-            cols = index.columns
+                base, rng.sample(base.ids, min(3, len(base.ids))),
+                rng)).index()
             for q, query in enumerate(index.ids):
-                text_dots = np.vecdot(cols.unit_text, cols.unit_text[q])
+                text_dots = np.vecdot(index.unit_text, index.unit_text[q])
                 s_text, s_ddc, s_lod, fallback = former_glue(
-                    cols, q, index.weights, text_dots)
-                got = _score_row(cols, q, index.weights)
+                    index, q, index.weights, text_dots)
+                got = _score_row(index, q)
                 for new, old in zip(got, (s_text, s_ddc, s_lod)):
                     assert np.array_equal(_bits(new), _bits(old))
-                text_only = _score_row(cols, q, index.weights, WITHOUT_LOD)
+                text_only = _score_row(index, q, WITHOUT_LOD)
                 assert np.array_equal(_bits(text_only[0]), _bits(s_text))
                 assert text_only[1:] == (None, None)
-                assert [combined_similarity(
-                    query, vid, index.doc_vectors, index.ddc_vectors,
-                    index.weights).fallback_applied
-                    for vid in index.ids] == fallback.tolist()
+                assert [combined_similarity(index, query, vid)
+                        .fallback_applied
+                        for vid in index.ids] == fallback.tolist()
                 for method, scores in ((WITH_LOD, s_lod),
                                        (WITHOUT_LOD, s_text)):
                     for k in range(1, len(index)):
                         rec = recommend(query, index, k, method)
                         assert _ranked_bits(rec.ranked) == _ranked_bits(
                             former_top_k(scores, q, index.ids,
-                                         cols.id_rank, k))
+                                         index.id_rank, k))
 
     def test_ties_straddle_the_kth_place(self):
-        index = _with_reuploads(hierarchy_index(), ["a2"], random.Random(3))
+        index = _with_reuploads(hierarchy_corpus(), ["a2"],
+                                random.Random(3)).index()
         full = recommend("a1", index, len(index) - 1).ranked
         assert [vid for vid, _ in full[:3]] == ["a2", "a2_re", "a_a2"]
         assert full[0][1] == full[1][1] == full[2][1] > full[3][1]
@@ -517,8 +524,8 @@ class TestSelection:
             assert recommend("a1", index, k).ranked == full[:k]
 
 
-def _random_text_index(rng: np.random.Generator, n: int = 160,
-                       dim: int = 300) -> CorpusIndex:
+def _random_text_corpus(rng: np.random.Generator, n: int = 160,
+                        dim: int = 300) -> Vectors:
     """Random doc vectors, some zero and some with no token found."""
     docs = {}
     for r in range(n):
@@ -526,7 +533,7 @@ def _random_text_index(rng: np.random.Generator, n: int = 160,
         kind = rng.random()
         vector = np.zeros(dim) if kind < 0.05 else rng.normal(size=dim)
         docs[vid] = DocVector(vid, vector, 0 if kind > 0.95 else 1, 0)
-    return CorpusIndex(ids=list(docs), doc_vectors=docs, ddc_vectors={})
+    return Vectors(list(docs), docs)
 
 
 ODD_AND_EVEN_DIMS = [1, 3, 7, 300, 301]
@@ -542,57 +549,54 @@ class TestTextRoute:
     @pytest.mark.parametrize("dim", ODD_AND_EVEN_DIMS)
     def test_subset_rows_keep_their_bits(self, dim):
         rng = np.random.default_rng(97)
-        full = _random_text_index(rng, dim=dim)
-        matrix = similarity_matrix(full, WITHOUT_LOD)
+        full = _random_text_corpus(rng, dim=dim)
+        matrix = kernel_matrix(full.index(), WITHOUT_LOD)
+        n = len(full.ids)
         for _ in range(60):
-            rows = rng.permutation(len(full))[:rng.integers(1, len(full) + 1)]
-            sub = CorpusIndex(ids=[full.ids[r] for r in rows],
-                              doc_vectors=full.doc_vectors, ddc_vectors={})
+            rows = rng.permutation(n)[:rng.integers(1, n + 1)]
+            sub = replace(full, ids=[full.ids[r] for r in rows]).index()
             for q in rng.permutation(len(rows))[:4].tolist():
-                s_text = _score_row(sub.columns, q, sub.weights)[0]
+                s_text = _score_row(sub, q)[0]
                 assert np.array_equal(_bits(s_text),
                                       _bits(matrix[rows[q], rows]))
 
     @pytest.mark.parametrize("dim", ODD_AND_EVEN_DIMS)
     def test_exactly_symmetric(self, dim):
-        matrix = similarity_matrix(_random_text_index(
-            np.random.default_rng(101), dim=dim), WITHOUT_LOD)
+        matrix = kernel_matrix(_random_text_corpus(
+            np.random.default_rng(101), dim=dim).index(), WITHOUT_LOD)
         assert np.array_equal(_bits(matrix), _bits(matrix.T))
 
     def test_pair_scores_equal_the_recommend_row_at_odd_dim(self):
         rng = np.random.default_rng(107)
-        text = _random_text_index(rng, n=60, dim=301)
+        text = _random_text_corpus(rng, n=60, dim=301)
         codes = {vid: DdcVector(vid, {int(d): float(rng.random())
                                       for d in rng.choice(12, 3)})
                  for vid in text.ids if rng.random() < 0.7}
-        index = CorpusIndex(ids=text.ids, doc_vectors=text.doc_vectors,
-                            ddc_vectors=codes, weights=(0.3, 0.9))
+        index = replace(text, codes=codes, weights=(0.3, 0.9)).index()
         for query in rng.choice(index.ids, 8, replace=False).tolist():
             for method in METHODS:
                 ranked = recommend(query, index, len(index) - 1,
                                    method).ranked
-                pairs = [(vid, combined_similarity(
-                    query, vid, index.doc_vectors, index.ddc_vectors,
-                    index.weights).for_method(method)) for vid, _ in ranked]
+                pairs = [(vid, combined_similarity(index, query, vid)
+                          .for_method(method)) for vid, _ in ranked]
                 assert _ranked_bits(pairs) == _ranked_bits(ranked)
 
     def test_within_1e15_of_the_former_rowwise_product(self):
-        index = _random_text_index(np.random.default_rng(103))
-        cols = index.columns
-        matrix = similarity_matrix(index, WITHOUT_LOD)
-        assert not cols.has_text.all() and cols.has_text.any()
+        index = _random_text_corpus(np.random.default_rng(103)).index()
+        matrix = kernel_matrix(index, WITHOUT_LOD)
+        assert not index.has_text.all() and index.has_text.any()
         for q in range(len(index)):
-            if not cols.has_text[q]:
+            if not index.has_text[q]:
                 assert np.isnan(matrix[q]).all()
                 continue
-            former = (cols.unit_text * cols.unit_text[q]).sum(axis=1)
-            assert np.array_equal(np.isnan(matrix[q]), ~cols.has_text)
-            assert np.abs(matrix[q] - former)[cols.has_text].max() <= 1e-15
+            former = (index.unit_text * index.unit_text[q]).sum(axis=1)
+            assert np.array_equal(np.isnan(matrix[q]), ~index.has_text)
+            assert np.abs(matrix[q] - former)[index.has_text].max() <= 1e-15
 
 
 def _one_video_index() -> CorpusIndex:
-    return CorpusIndex(ids=["solo"], ddc_vectors={}, doc_vectors={
-        "solo": DocVector("solo", np.array([0.3, -0.4]), 1, 0)})
+    return Vectors(["solo"], {
+        "solo": DocVector("solo", np.array([0.3, -0.4]), 1, 0)}).index()
 
 
 class TestStreamedMatrix:
@@ -600,8 +604,8 @@ class TestStreamedMatrix:
     time; neither the bytes nor the matrix depend on the block size."""
 
     @pytest.mark.parametrize("make", [
-        lambda: _with_ghost(random_micro_index(random.Random(89))),
-        lambda: _with_ghost(hierarchy_index()),
+        lambda: _with_ghost(random_micro_corpus(random.Random(89))).index(),
+        lambda: _with_ghost(hierarchy_corpus()).index(),
         _one_video_index,
     ], ids=["micro_ghost", "hierarchy_ghost", "one_video"])
     def test_bytes_do_not_depend_on_block_size(self, monkeypatch, make):
@@ -616,12 +620,13 @@ class TestStreamedMatrix:
                 sizes = [len(b) for b in matrix_blocks(index, method)]
                 assert sizes == [min(rows, n - s) for s in range(0, n, rows)]
                 assert np.array_equal(
-                    _bits(similarity_matrix(index, method)), _bits(dense))
+                    _bits(np.vstack(list(matrix_blocks(index, method)))),
+                    _bits(dense))
                 assert matrix_tsv(index, method) == expected
 
     def test_each_block_is_written_before_the_next_is_scored(
             self, monkeypatch):
-        index = _with_ghost(random_micro_index(random.Random(101)))
+        index = _with_ghost(random_micro_corpus(random.Random(101))).index()
         monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", 2)
         kernel, scored = engine._method_scores, []
 
@@ -645,6 +650,6 @@ class TestStreamedMatrix:
         assert written == len(index)
 
     def test_empty_index(self):
-        index = CorpusIndex(ids=[], doc_vectors={}, ddc_vectors={})
-        assert similarity_matrix(index).shape == (0, 0)
+        index = Vectors([], {}).index()
+        assert list(matrix_blocks(index)) == []
         assert matrix_tsv(index) == "\t\n"

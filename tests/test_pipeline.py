@@ -358,8 +358,9 @@ class TestLoadIndex:
     def test_round_trip_supports_scoring(self, built):
         index = load_index(built)
         assert len(index) == 8
-        assert set(index.ids) == set(index.doc_vectors)
-        assert set(index.ids) == set(index.ddc_vectors)
+        assert index.ids == [f"v00{i}" for i in range(1, 9)]
+        assert index.unit_text.shape == (8, 16)
+        assert len(index.row_ptr) == 9
         assert index.weights == (0.5, 0.5)
         rec = recommend("v001", index, k=3)
         assert len(rec.ranked) == 3
@@ -437,6 +438,28 @@ class TestLoadIndex:
                            r"from its digest in manifest\.json"):
             load_index(built)
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [rows[1], rows[0], *rows[2:]],  # two rows swapped
+        lambda rows: rows[1:],  # v001's row dropped
+        lambda rows: ["vXXX" + rows[0][4:], *rows[1:]],  # a foreign id
+    ], ids=["swapped", "dropped", "foreign"])
+    def test_fragment_rows_not_the_doc_vector_ids_rejected(self, built,
+                                                           edit):
+        # The rows were matched by id, and a row that matched no video
+        # was ignored.  Here the manifest vouches for the edited file.
+        path = built.index_dir / DDC_VECTORS_FILE
+        path.write_text("\n".join(edit(path.read_text().splitlines()))
+                        + "\n")
+        manifest = built.index_dir / MANIFEST_FILE
+        digests = json.loads(manifest.read_text())
+        digests[DDC_VECTORS_FILE] = hashlib.blake2b(
+            path.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(digests))
+        with pytest.raises(LodrecError, match=(
+                rf"^{re.escape(str(path))}: its rows are not the videos of "
+                r"doc_vectors\.tsv in the same order; run index again$")):
+            load_index(built)
+
     def test_non_finite_doc_vector_rejected(self, built):
         # One NaN cell in v002's row made every score of v002 NaN.
         path = built.index_dir / DOC_VECTORS_FILE
@@ -463,13 +486,11 @@ class TestLoadIndex:
     def test_loaded_scores_match_freshly_built(self, built):
         # serialization must not perturb a single bit of any score
         from lodrec import WITH_LOD, combined_similarity
-        from lodrec.engine import similarity_matrix
-        import numpy as np
+        from conftest import kernel_matrix
         index_a = load_index(built)
         index_b = load_index(built)
-        m_a = similarity_matrix(index_a, WITH_LOD)
-        m_b = similarity_matrix(index_b, WITH_LOD)
+        m_a = kernel_matrix(index_a, WITH_LOD)
+        m_b = kernel_matrix(index_b, WITH_LOD)
         assert np.array_equal(m_a, m_b, equal_nan=True)
-        s = combined_similarity("v001", "v002", index_a.doc_vectors,
-                                index_a.ddc_vectors, index_a.weights)
+        s = combined_similarity(index_a, "v001", "v002")
         assert s.s_lod is not None
