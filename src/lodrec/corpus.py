@@ -111,6 +111,7 @@ def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
 
 def _read_jsonl(path) -> list[VideoRecord]:
     records = []
+    first_line: dict[str, int] = {}  # video id -> line of its record
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -121,7 +122,13 @@ def _read_jsonl(path) -> list[VideoRecord]:
                 raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
             if not isinstance(obj, dict):
                 raise ParseError(path, line_no, "record must be a JSON object")
-            records.append(_build_record(obj, path, line_no))
+            record = _build_record(obj, path, line_no)
+            if record.id in first_line:
+                raise DuplicateIdError(
+                    f"{path}:{line_no}: duplicate video id: {record.id!r} "
+                    f"(first on line {first_line[record.id]})")
+            first_line[record.id] = line_no
+            records.append(record)
     return records
 
 
@@ -132,6 +139,8 @@ def load_corpus(path, format: str = "jsonl",
     Records whose language differs from ``language_filter`` are dropped
     (count kept on the returned Corpus).  Duplicate ids are a hard error:
     silent overwrite would corrupt the similarity indices downstream.
+    The JSONL reader refuses them with the line; an N-Triples subject is
+    one record, so its ids are unique by construction.
     """
     path = Path(path)
     if format == "jsonl":
@@ -141,12 +150,6 @@ def load_corpus(path, format: str = "jsonl",
         records = read_ntriples(path)
     else:
         raise ValueError(f"unknown corpus format: {format!r}")
-
-    seen: set[str] = set()
-    for r in records:
-        if r.id in seen:
-            raise DuplicateIdError(f"duplicate video id: {r.id!r}")
-        seen.add(r.id)
 
     dropped = 0
     if language_filter is not None:

@@ -12,14 +12,9 @@ given corpus.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import os
 import re
-import signal
-import threading
 import unicodedata
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,7 +53,7 @@ class EmbeddingTable:
     Keys are stored lookup-normalized (NFC + casefold, matching
     tokenize); on a collision the first row wins and the rest are
     counted in ``duplicates_skipped``.  ``rows_read`` counts the data
-    rows read and checked, whether stored or not.
+    rows read, whether parsed and stored or not.
     """
 
     dim: int
@@ -73,7 +68,7 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-# Lines parsed per numpy call.  Bigger blocks parse no faster and hold
+# Rows parsed per numpy call.  Bigger blocks parse no faster and hold
 # more transient memory: loadtxt copies the block's text.
 _BLOCK_LINES = 1024
 
@@ -127,148 +122,17 @@ def _header_dim(line: str) -> int | None:
         return None
 
 
-def _kept_rows(path, line_nos: list[int], cells: list[str], dim: int,
-               kept: list[int]) -> np.ndarray:
-    """Check every row of a block; return the rows at positions ``kept``."""
-    return _parse_rows(path, line_nos, cells, dim)[kept]
-
-
-# Blocks are parsed in worker processes only for a table file larger
-# than this: on 2 CPUs a table of 8 MiB still parsed faster in-process.
-_POOL_MIN_BYTES = 12 << 20
-# At most this many workers, the count measured.  The main process's own
-# per-row work bounds the load, so more would mostly cost their forks.
-_POOL_MAX_WORKERS = 2
-
-
-def _serve(conn, readers) -> None:
-    """A worker process: parse each block ``conn`` brings and send back
-    its kept rows, or the error it raised.
-
-    ``readers`` are this process's copies of the reader's ends of the
-    pipes: closed, so that the reader's death ends every worker.
-    """
-    for reader in readers:
-        reader.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the reader stops it
-    try:
-        while True:
-            args = conn.recv()
-            try:
-                reply = _kept_rows(*args)
-            except Exception as exc:  # re-raised by the reader
-                reply = exc
-            conn.send(reply)
-    except (EOFError, OSError):  # the reader has closed its end
-        return
-
-
-class _Workers:
-    """Forked worker processes, each fed over a pipe of its own.
-
-    Block ``i`` goes to worker ``i % n`` and the replies are taken in the
-    same order, so a worker holds at most one block.  No queue or lock is
-    shared, so a worker that dies (the OOM killer, a SIGKILL) cannot
-    stall the others: its pipe ends, and the reader raises.
-    """
-
-    def __init__(self, context, count: int, path):
-        self.count = count
-        self._path = path
-        self._procs, self._conns = [], []
-        self._sent = self._taken = 0
-        try:
-            for _ in range(count):
-                ours, theirs = context.Pipe()
-                self._conns.append(ours)
-                proc = context.Process(target=_serve,
-                                       args=(theirs, self._conns))
-                proc.start()
-                self._procs.append(proc)
-                # Only the worker holds its end, so its death ends the pipe.
-                theirs.close()
-        except BaseException:
-            self.close()
-            raise
-
-    def submit(self, args) -> None:
-        """Hand a block to the next worker; its last block must be taken."""
-        i = self._sent % self.count
-        try:
-            self._conns[i].send(args)
-        except OSError:
-            self._ended(i)
-        self._sent += 1
-
-    def take(self) -> np.ndarray:
-        """The kept rows of the oldest block not yet taken, or its error
-        raised."""
-        i = self._taken % self.count
-        try:
-            reply = self._conns[i].recv()
-        except (EOFError, OSError):  # the worker's end closed: it ended
-            self._ended(i)
-        self._taken += 1
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    def _ended(self, i: int):
-        proc = self._procs[i]
-        proc.join(1)
-        raise ChildProcessError(
-            f"{self._path}: worker process {proc.pid} parsing the table "
-            f"ended with exit code {proc.exitcode}") from None
-
-    def close(self) -> None:
-        for proc in self._procs:
-            proc.kill()
-            proc.join()
-            proc.close()
-        for conn in self._conns:
-            conn.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _workers(path: Path) -> _Workers | None:
-    """Worker processes to parse ``path``'s blocks on, one per usable CPU
-    up to ``_POOL_MAX_WORKERS``; None to parse them in-process."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return None
-    # A fork copies only the calling thread: a lock another thread held
-    # at that moment would stay held in the worker for good.
-    if (cpus < 2 or threading.active_count() > 1
-            or path.stat().st_size <= _POOL_MIN_BYTES):
-        return None
-    # Imported here, as it adds about 0.6 MiB to the resident memory of
-    # every process that loads it.
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    # Forked workers start without importing anything.
-    return _Workers(multiprocessing.get_context("fork"),
-                    min(cpus, _POOL_MAX_WORKERS), path)
-
-
 def load_embeddings(path, limit: int | None = None,
                     keep: set[str] | None = None) -> EmbeddingTable:
     """Load a text-format vector table: its first ``limit`` distinct tokens.
 
     The dimension comes from the header if present, otherwise from the
-    first data row.  Every row up to the limit is checked, but only the
-    rows whose normalized token is in ``keep`` (all, if None) are stored.
-    Components are parsed by numpy in blocks of lines, so ``1_0`` and
-    non-ASCII digits, which Python's ``float`` takes, are refused.  A
-    large table (see ``_POOL_MIN_BYTES``) has its blocks parsed by worker
-    processes while this process reads on; results are taken in file
-    order, so the first bad line is the one reported.
+    first data row.  Every row up to the limit is read and its token
+    counted, but only the first row of each normalized token in ``keep``
+    (all, if None) is parsed, checked and stored: a row that no lookup
+    can reach cannot change a vector.  Components are parsed by numpy in
+    blocks of rows, so ``1_0`` and non-ASCII digits, which Python's
+    ``float`` takes, are refused, with the first bad line named.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -277,81 +141,53 @@ def load_embeddings(path, limit: int | None = None,
     seen: set[str] = set()
     duplicates = 0
     dim: int | None = None
-    workers = _workers(path)
-    # The tokens to store of each block handed to the workers, in order.
-    pending: deque = deque()
-
-    def store(tokens, rows):
-        for token, vec in zip(tokens, rows):
-            vectors[token] = vec.copy()  # a view would pin its neighbours
-
-    # The pending block: line numbers, component text, token to store.
+    # The block to parse: line numbers, component text, token to store.
     line_nos: list[int] = []
     cells: list[str] = []
-    stored: list[str | None] = []
+    tokens: list[str] = []
 
     def flush():
-        kept = [i for i, token in enumerate(stored) if token is not None]
-        tokens = [stored[i] for i in kept]
-        args = (path, line_nos, cells, dim, kept)
-        if workers is None:
-            store(tokens, _kept_rows(*args))
-        else:
-            if len(pending) == workers.count:  # each worker holds one block
-                store(pending.popleft(), workers.take())
-            workers.submit(args)  # sent as a copy
-            pending.append(tokens)
+        for token, vec in zip(tokens, _parse_rows(path, line_nos, cells, dim)):
+            vectors[token] = vec.copy()  # a view would pin its neighbours
         line_nos.clear()
         cells.clear()
-        stored.clear()
+        tokens.clear()
 
-    with workers or contextlib.nullcontext(), open(path, encoding="utf-8") as f:
-        try:
-            first = f.readline()
-            if not first:
-                raise ParseError(path, 1, "empty embeddings file")
-            lines = enumerate(f, start=2)
-            dim = _header_dim(first)
+    with open(path, encoding="utf-8") as f:
+        first = f.readline()
+        if not first:
+            raise ParseError(path, 1, "empty embeddings file")
+        lines = enumerate(f, start=2)
+        dim = _header_dim(first)
+        if dim is None:
+            lines = itertools.chain([(1, first)], lines)
+        elif dim < 1:
+            raise ParseError(path, 1, f"header dimension {dim} is not >= 1")
+
+        for line_no, line in lines:
+            if limit is not None and len(seen) >= limit:
+                break
+            fields = line.split(None, 1)
+            if not fields:
+                continue
+            cell = fields[1] if len(fields) == 2 else ""
             if dim is None:
-                lines = itertools.chain([(1, first)], lines)
-            elif dim < 1:
-                raise ParseError(path, 1,
-                                 f"header dimension {dim} is not >= 1")
-
-            for line_no, line in lines:
-                if limit is not None and len(seen) >= limit:
-                    break
-                fields = line.split(None, 1)
-                if not fields:
-                    continue
-                cell = fields[1] if len(fields) == 2 else ""
-                if dim is None:
-                    dim = len(cell.split())
-                    if not dim:
-                        raise ParseError(path, line_no,
-                                         "row has no components")
-                token = _normalize_token(fields[0])
-                if token in seen:
-                    duplicates += 1
-                    token = None
-                else:
-                    seen.add(token)
-                    if keep is not None and token not in keep:
-                        token = None
+                dim = len(cell.split())
+                if not dim:
+                    raise ParseError(path, line_no, "row has no components")
+            token = _normalize_token(fields[0])
+            if token in seen:
+                duplicates += 1
+                continue
+            seen.add(token)
+            if keep is None or token in keep:
                 line_nos.append(line_no)
                 cells.append(cell)
-                stored.append(token)
+                tokens.append(token)
                 if len(cells) >= _BLOCK_LINES:
                     flush()
-            if cells:
-                flush()
-        except (OSError, UnicodeDecodeError):
-            # A bad row in a block still in flight comes first in the file.
-            for _ in pending:
-                workers.take()
-            raise
-        for tokens in pending:
-            store(tokens, workers.take())
+        if cells:
+            flush()
 
     if not seen:
         raise ParseError(path, 1, "embeddings file contains no vectors")

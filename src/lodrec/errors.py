@@ -16,11 +16,6 @@ class ParseError(LodrecError):
         self.message = message
         super().__init__(f"{self.path}:{line_no}: {message}")
 
-    def __reduce__(self):
-        # Pickled as its constructor's arguments, so that an error raised
-        # in a worker process reaches the caller whole.
-        return type(self), (self.path, self.line_no, self.message)
-
 
 class DuplicateIdError(LodrecError):
     """Two records share an identifier that must be unique."""

@@ -165,8 +165,12 @@ def load_config(path) -> PipelineConfig:
 
 
 def override_config(config: PipelineConfig, **overrides) -> PipelineConfig:
-    """Copy with CLI-flag overrides applied (flags win over the file)."""
-    changed = {k: v for k, v in overrides.items() if v is not None}
+    """Copy with CLI-flag overrides applied (flags win over the file).
+
+    A path override is resolved against the working directory.
+    """
+    changed = {k: Path(v).resolve() if k in _PATH_KEYS else v
+               for k, v in overrides.items() if v is not None}
     updated = replace(config, **changed)
     updated.validate()
     return updated

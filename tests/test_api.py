@@ -24,6 +24,13 @@ SIGNATURE_TYPES = {"CorpusIndex", "Recommendation", "SimilarityScore",
 ERRORS = {"LodrecError", "ParseError", "ConfigError", "UnknownIdError"}
 
 
+# The modules that start threads or processes, or take over signals.
+CONCURRENCY = {"multiprocessing", "threading", "_thread", "signal",
+               "subprocess", "concurrent"}
+# The os functions that fork or start a process.
+OS_PROCESS = re.compile(r"fork|spawn|posix_spawn|system|popen|exec")
+
+
 def names_imported_from_lodrec(source: str) -> set[str]:
     return {alias.name for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom) and node.module == "lodrec"
@@ -51,3 +58,30 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], capture_output=True,
                             text=True, timeout=60, env=checkout_env())
     assert result.returncode == 0, result.stderr
+
+
+def process_starts(path) -> list[str]:
+    """The modules of ``CONCURRENCY`` that ``path`` imports, and the os
+    functions it names that fork or start a process."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] in CONCURRENCY]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in CONCURRENCY:
+                found.append(node.module)
+            elif node.module == "os":
+                found += [f"os.{alias.name}" for alias in node.names
+                          if OS_PROCESS.match(alias.name)]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "os"
+              and OS_PROCESS.match(node.attr)):
+            found.append(f"os.{node.attr}")
+    return found
+
+
+def test_package_starts_no_thread_or_process():
+    """Every module runs in its caller's one thread and process."""
+    for path in sorted((REPO / "src" / "lodrec").glob("*.py")):
+        assert process_starts(path) == [], path.name

@@ -65,10 +65,14 @@ class TestLoad:
 
 class TestValidation:
     def test_duplicate_id_is_hard_error(self, tmp_path):
+        # Checked before the language filter, and named by file and line.
         path = write_jsonl(tmp_path / "c.jsonl",
-                           [record_obj("dup"), record_obj("dup")])
-        with pytest.raises(DuplicateIdError, match="dup"):
-            load_corpus(path)
+                           [record_obj("dup"), record_obj("v2"),
+                            record_obj("dup", language="en")])
+        with pytest.raises(DuplicateIdError,
+                           match=r"c\.jsonl:3: duplicate video id: 'dup' "
+                                 r"\(first on line 1\)"):
+            load_corpus(path, language_filter="de")
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

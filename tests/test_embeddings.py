@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
-import pickle
 import random
-import signal
-import struct
 import subprocess
 import sys
 import threading
-import time
 import unicodedata
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +41,11 @@ def write_table(tmp_path, lines, name="vectors.txt"):
     path = tmp_path / name
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def numbered_rows(n, dim=3):
+    return [f"tok{i} " + " ".join(f"{i}.{j}" for j in range(dim))
+            for i in range(n)]
 
 
 def video(title="", tags=(), abstract=""):
@@ -148,8 +148,9 @@ class TestLoadEmbeddings:
 def reference_load(path, limit=None, keep=None):
     """The former loader: one Python ``float()`` per component.
 
-    ``limit`` counts distinct normalized tokens read; ``keep`` filters
-    what is stored, after every check.
+    ``limit`` counts distinct normalized tokens read; only the first row
+    of each token in ``keep`` (all, if None) has its components checked
+    and is stored.
     """
     with open(path, encoding="utf-8") as f:
         numbered = list(enumerate(f, start=1))
@@ -175,6 +176,13 @@ def reference_load(path, limit=None, keep=None):
             if not values:
                 raise ParseError(path, line_no, "row has no components")
             dim = len(values)
+        token = unicodedata.normalize("NFC", fields[0]).casefold()
+        if token in seen:
+            duplicates += 1
+            continue
+        seen.add(token)
+        if keep is not None and token not in keep:
+            continue
         if len(values) != dim:
             raise ParseError(path, line_no,
                              f"expected {dim} components, got {len(values)}")
@@ -185,13 +193,7 @@ def reference_load(path, limit=None, keep=None):
                              "non-numeric vector component") from None
         if not np.all(np.isfinite(vec)):
             raise ParseError(path, line_no, "non-finite vector component")
-        token = unicodedata.normalize("NFC", fields[0]).casefold()
-        if token in seen:
-            duplicates += 1
-            continue
-        seen.add(token)
-        if keep is None or token in keep:
-            vectors[token] = vec
+        vectors[token] = vec
     if not seen:
         raise ParseError(path, 1, "embeddings file contains no vectors")
     return EmbeddingTable(dim=dim, vectors=vectors,
@@ -313,14 +315,53 @@ class TestBlockParser:
         assert np.array_equal(table.vectors["tok40"], [40, 41, 42])
 
     def test_keep_nothing_still_checks_and_counts(self, tmp_path):
-        path = write_table(tmp_path, ["3 2", "aa 1 2", "AA 3 4", "bb 5 6"])
+        # Rows that are not kept are read and counted, but not parsed.
+        path = write_table(tmp_path, ["3 2", "aa 1 2", "AA 3 x", "bb 5"])
         table = load_embeddings(path, keep=set())
         assert table.dim == 2
         assert len(table) == 0
         assert table.duplicates_skipped == 1
-        bad = write_table(tmp_path, ["aa 1 2", "bb 5 x"], name="bad.txt")
+        assert table.rows_read == 3
+        path = write_table(tmp_path, ["aa 1 2", "bb 5 x", "cc 1 2 3"],
+                           name="no_header.txt")
+        table = load_embeddings(path, keep=set())
+        assert (table.dim, table.rows_read) == (2, 3)
+        # The first row still sets the dimension, so it needs components.
+        empty = write_table(tmp_path, ["aa", "bb 1"], name="empty.txt")
+        with pytest.raises(ParseError, match=r":1: row has no components"):
+            load_embeddings(empty, keep=set())
+
+    def test_bad_kept_row_in_later_block_names_its_line(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK_LINES", 2)
+        rows = numbered_rows(40)
+        rows[5] = "tok5 1 x"  # not kept: never parsed
+        rows[30] = rows[30].replace(".1", "x", 1)  # the 11th kept row
+        rows[36] = "tok36 1 2"  # a later bad kept row
+        keep = {f"tok{i}" for i in range(0, 40, 3)}
+        with pytest.raises(ParseError,
+                           match=r"vectors\.txt:31: non-numeric"):
+            load_embeddings(write_table(tmp_path, rows), keep=keep)
+
+    def test_first_row_of_a_repeated_token_is_the_one_parsed(self, tmp_path):
+        path = write_table(tmp_path, ["aa 1 2", "AA 3 x", "bb 1 2 3"])
+        table = load_embeddings(path, keep={"aa"})
+        assert np.array_equal(table.vectors["aa"], [1, 2])
+        assert table.duplicates_skipped == 1
+        path = write_table(tmp_path, ["bb 1 2", "aa 1 x", "AA 3 4"],
+                           name="bad_first.txt")
         with pytest.raises(ParseError, match=r":2: non-numeric"):
-            load_embeddings(bad, keep=set())
+            load_embeddings(path, keep={"aa"})
+
+    def test_bad_row_past_limit_is_never_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK_LINES", 4)
+        rows = numbered_rows(20)
+        rows[11] = "tok11 1 x"  # kept, but past the limit
+        table = load_embeddings(write_table(tmp_path, ["20 3", *rows]),
+                                limit=10, keep={"tok2", "tok9", "tok11"})
+        assert sorted(table.vectors) == ["tok2", "tok9"]
+        assert table.rows_read == 10
+        assert np.array_equal(table.vectors["tok9"], [9.0, 9.1, 9.2])
 
     def test_header_only_has_no_vectors(self, tmp_path):
         path = write_table(tmp_path, ["0 3", ""])
@@ -334,51 +375,28 @@ class TestBlockParser:
             load_embeddings(path)
 
 
-@pytest.fixture()
-def pools_built(monkeypatch):
-    """The worker counts of the pools built; no worker outlives the test."""
-    built = []
-    original = embeddings._Workers.__init__
+def refuse_workers(monkeypatch):
+    """Fail the test if anything forks or starts a process or thread."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker was started")
 
-    def spy(self, context, count, path):
-        built.append(count)
-        original(self, context, count, path)
-
-    monkeypatch.setattr(embeddings._Workers, "__init__", spy)
-    yield built
-    assert multiprocessing.active_children() == []
+    for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, refuse)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 @pytest.fixture()
-def pooled(monkeypatch, pools_built):
-    """Every non-empty table is parsed by three forked workers."""
-    monkeypatch.setattr(embeddings, "_POOL_MIN_BYTES", 0)
-    monkeypatch.setattr(embeddings, "_POOL_MAX_WORKERS", 3)
-    monkeypatch.setattr(embeddings.os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2, 3})
-    return pools_built
-
-
-@pytest.fixture()
-def deadline():
-    """Fail, rather than hang, a test still running after 30 s."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran past its deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def numbered_rows(n, dim=3):
-    return [f"tok{i} " + " ".join(f"{i}.{j}" for j in range(dim))
-            for i in range(n)]
+def in_process(monkeypatch):
+    """The test's loads run with workers refused."""
+    refuse_workers(monkeypatch)
 
 
 class TestWorkerPool:
-    """Blocks parsed in worker processes: same tables, same errors."""
+    """No worker pool: the main process parses every block, with the
+    tables and errors that forked workers used to give."""
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -386,73 +404,44 @@ class TestWorkerPool:
            limit=st.none() | st.integers(1, 8),
            keep=st.none() | st.sets(st.sampled_from(NORMALIZED)),
            block=st.integers(1, 5))
-    def test_matches_per_row_reference(self, tmp_path, monkeypatch, pooled,
-                                       text, limit, keep, block):
+    def test_matches_per_row_reference(self, tmp_path, monkeypatch,
+                                       in_process, text, limit, keep, block):
         monkeypatch.setattr(embeddings, "_BLOCK_LINES", block)
         check_against_reference(tmp_path, text, limit, keep)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus, workers", [(2, 2), (3, 2), (64, 2)])
-    def test_one_worker_per_cpu_up_to_two(self, tmp_path, monkeypatch,
-                                          pools_built, cpus, workers):
-        monkeypatch.setattr(embeddings, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(embeddings.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        table = load_embeddings(write_table(tmp_path, numbered_rows(3000)))
-        assert pools_built == [workers]
-        assert len(table) == table.rows_read == 3000
-        assert np.array_equal(table.vectors["tok2999"],
-                              [2999.0, 2999.1, 2999.2])
-
-    def test_at_most_one_block_per_worker(self, tmp_path, monkeypatch,
-                                          pooled):
-        monkeypatch.setattr(embeddings, "_BLOCK_LINES", 3)
-        submit, take = embeddings._Workers.submit, embeddings._Workers.take
-        outstanding = []
-
-        def submitted(workers, args):
-            submit(workers, args)
-            outstanding.append(workers._sent - workers._taken)
-
-        def taken(workers):
-            rows = take(workers)
-            outstanding.append(workers._sent - workers._taken)
-            return rows
-
-        monkeypatch.setattr(embeddings._Workers, "submit", submitted)
-        monkeypatch.setattr(embeddings._Workers, "take", taken)
-        table = load_embeddings(write_table(tmp_path, numbered_rows(60)))
-        assert len(table) == 60
-        assert len(outstanding) == 2 * 20 and outstanding[-1] == 0
-        assert max(outstanding) == 3
 
     @pytest.mark.parametrize("bad_line", [1, 29, 35])
-    def test_bad_row_in_late_block(self, tmp_path, monkeypatch, pooled,
+    def test_bad_row_in_late_block(self, tmp_path, monkeypatch, in_process,
                                    bad_line):
         monkeypatch.setattr(embeddings, "_BLOCK_LINES", 2)
         rows = numbered_rows(40)
         rows[bad_line - 1] = rows[bad_line - 1].replace(".1", "x", 1)
-        rows[-3] = "tok37 1 2"  # a later bad row, in a block in flight too
+        rows[-3] = "tok37 1 2"  # a later bad row, in a later block
+        path = write_table(tmp_path, rows)
         with pytest.raises(ParseError,
                            match=rf"vectors\.txt:{bad_line}: non-numeric"):
-            load_embeddings(write_table(tmp_path, rows))
-        assert pooled == [3]
+            load_embeddings(path)
+        # Neither bad row is parsed when neither token is kept.
+        keep = {f"tok{i}" for i in range(40)} - {f"tok{bad_line - 1}",
+                                                  "tok37"}
+        table = load_embeddings(path, keep=keep)
+        assert sorted(table.vectors) == sorted(keep)
+        assert table.rows_read == 40
 
-    def test_limit_ends_mid_block(self, tmp_path, monkeypatch, pooled):
+    def test_limit_ends_mid_block(self, tmp_path, monkeypatch, in_process):
         monkeypatch.setattr(embeddings, "_BLOCK_LINES", 4)
         rows = numbered_rows(20)
         rows[11] = "tok11 1 2"  # past the limit: never read
         table = load_embeddings(write_table(tmp_path, ["20 3", *rows]),
-                                limit=10, keep={"tok2", "tok9"})
-        assert pooled == [3]
-        assert sorted(table.vectors) == ["tok2", "tok9"]
+                                limit=10)  # blocks of 4, 4 and 2 rows
+        assert list(table.vectors) == [f"tok{i}" for i in range(10)]
         assert table.rows_read == 10
         assert np.array_equal(table.vectors["tok9"], [9.0, 9.1, 9.2])
 
     def test_read_error_after_bad_row_in_flight(self, tmp_path, monkeypatch,
-                                                pooled):
+                                                in_process):
         # The bad bytes lie past the reader's first 8 KiB chunk of
-        # decoded text, so that blocks are in flight when they are read.
+        # decoded text, so the block holding line 3 is full, and parsed,
+        # before they are read: the first error in file order wins.
         monkeypatch.setattr(embeddings, "_BLOCK_LINES", 5)
         rows = numbered_rows(14, dim=150)
         rows[2] = rows[2].replace(".1", "x", 1)
@@ -460,111 +449,20 @@ class TestWorkerPool:
         path.write_bytes(path.read_bytes() + b"tok99 \xff 1\n")
         with pytest.raises(ParseError, match=r"vectors\.txt:3: non-numeric"):
             load_embeddings(path)
-        assert pooled == [3]
         rows[2] = numbered_rows(3, dim=150)[2]
         path = write_table(tmp_path, rows)
         path.write_bytes(path.read_bytes() + b"tok99 \xff 1\n")
         with pytest.raises(UnicodeDecodeError):
             load_embeddings(path)
 
-    @pytest.mark.parametrize("when", ["in its parser", "mid reply",
-                                      "when idle"])
-    def test_killed_worker_ends_the_load(self, tmp_path, monkeypatch, pooled,
-                                         deadline, when):
-        monkeypatch.setattr(embeddings, "_BLOCK_LINES", 2)
-        reader = os.getpid()
-        # Workers are forked, so they run what is patched here.
-        if when == "in its parser":
-            parse = embeddings._kept_rows
-
-            def dying(path, line_nos, *rest):
-                if 21 in line_nos:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return parse(path, line_nos, *rest)
-
-            monkeypatch.setattr(embeddings, "_kept_rows", dying)
-        elif when == "mid reply":
-            send = multiprocessing.connection.Connection._send_bytes
-
-            def half_sent(conn, buf):
-                if os.getpid() == reader:
-                    return send(conn, buf)
-                conn._send(struct.pack("!i", len(buf)) + bytes(buf[:8]))
-                os.kill(os.getpid(), signal.SIGKILL)
-
-            monkeypatch.setattr(multiprocessing.connection.Connection,
-                                "_send_bytes", half_sent)
-        else:
-            take = embeddings._Workers.take
-
-            def kill_after_reply(workers):
-                i = workers._taken % workers.count
-                if workers._taken == 4 and workers._procs[i].is_alive():
-                    assert workers._conns[i].poll(10)
-                    os.kill(workers._procs[i].pid, signal.SIGKILL)
-                    workers._procs[i].join()
-                return take(workers)  # gets the reply; the next send fails
-
-            monkeypatch.setattr(embeddings._Workers, "take",
-                                kill_after_reply)
-        with pytest.raises(ChildProcessError,
-                           match=r"vectors\.txt: worker process \d+ parsing "
-                                 r"the table ended with exit code -9"):
-            load_embeddings(write_table(tmp_path, numbered_rows(40)))
-        assert pooled == [3]
-
-    def test_workers_end_with_a_killed_reader(self, tmp_path):
-        if not Path("/proc/self/stat").exists():
-            pytest.skip("needs /proc to see the workers")
-        code = (
-            "import os, signal, sys\n"
-            "from lodrec import embeddings\n"
-            "embeddings._POOL_MIN_BYTES = 0\n"
-            "embeddings._BLOCK_LINES = 2\n"
-            "embeddings.os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "def die(workers):\n"
-            "    print(*(p.pid for p in workers._procs), flush=True)\n"
-            "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            "embeddings._Workers.take = die\n"
-            "embeddings.load_embeddings(sys.argv[1])\n")
-        path = write_table(tmp_path, numbered_rows(40))
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(embeddings.__file__).parents[1])}
-        # The workers share the output pipe, so a worker left running
-        # would hold the run open.
-        out = subprocess.run([sys.executable, "-c", code, str(path)],
-                             env=env, capture_output=True, text=True,
-                             timeout=60)
-        assert out.returncode == -signal.SIGKILL
-        pids = [int(pid) for pid in out.stdout.split()]
-        assert len(pids) == 2
-
-        def running(pid):
-            try:  # a zombie has ended; only its parent may reap it
-                stat = Path(f"/proc/{pid}/stat").read_text()
-            except FileNotFoundError:
-                return False
-            return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-        deadline = time.monotonic() + 10
-        while any(map(running, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(running, pids))
-
     @pytest.mark.parametrize("case", ["small table", "one cpu", "no fork",
                                       "another thread"])
     def test_no_pool(self, tmp_path, monkeypatch, case):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a pool was built")
-
-        monkeypatch.setattr(embeddings._Workers, "__init__", refuse)
-        monkeypatch.setattr(embeddings.os, "sched_getaffinity",
-                            lambda pid: {0, 1})
-        if case != "small table":
-            monkeypatch.setattr(embeddings, "_POOL_MIN_BYTES", 0)
+        # The cases that used to keep the pool off, and a table large
+        # enough that it used to start one: all load in the main process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         if case == "one cpu":
-            monkeypatch.setattr(embeddings.os, "sched_getaffinity",
-                                lambda pid: {0})
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         if case == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                                 lambda: ["spawn"])
@@ -572,9 +470,15 @@ class TestWorkerPool:
         thread = threading.Thread(target=done.wait)
         if case == "another thread":
             thread.start()
+        rows = 30 if case == "small table" else 3000
         try:
-            path = write_table(tmp_path, ["30 3", *numbered_rows(30)])
-            assert len(load_embeddings(path)) == 30
+            refuse_workers(monkeypatch)
+            path = write_table(tmp_path,
+                               [f"{rows} 3", *numbered_rows(rows)])
+            table = load_embeddings(path)
+            assert len(table) == table.rows_read == rows
+            assert np.array_equal(table.vectors[f"tok{rows - 1}"],
+                                  [float(f"{rows - 1}.{j}") for j in range(3)])
         finally:
             done.set()
             if thread.is_alive():
@@ -588,16 +492,6 @@ class TestWorkerPool:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
-
-
-class TestParseError:
-    def test_pickle_round_trip(self):
-        error = ParseError(Path("data") / "t.txt", 7, "non-numeric x")
-        back = pickle.loads(pickle.dumps(error))
-        assert type(back) is ParseError
-        assert (back.path, back.line_no, back.message) == \
-            ("data/t.txt", 7, "non-numeric x")
-        assert str(back) == str(error) == "data/t.txt:7: non-numeric x"
 
 
 class TestLimit:

@@ -166,6 +166,14 @@ class TestOverrideConfig:
         updated = override_config(config, k=None, limit_embeddings=None)
         assert updated == config
 
+    def test_path_override_is_a_resolved_path(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        updated = override_config(config, index_dir="out")
+        assert updated.index_dir == tmp_path.resolve() / "out"
+        run_ingest(updated)
+        assert (tmp_path / "out" / CORPUS_FILE).is_file()
+
     def test_override_is_validated(self, tmp_path):
         config = load_config(write_config(tmp_path))
         with pytest.raises(ConfigError):
@@ -300,14 +308,28 @@ class TestEmbeddingTableInBuild:
         for name, before in artifacts.items():
             assert (config.index_dir / name).read_bytes() == before, name
 
-    def test_malformed_unused_row_fails_build(self, config, tmp_path):
+    def test_malformed_row_fails_build_only_when_used(self, config,
+                                                       tmp_path):
+        summary = run_index(config)
+        artifacts = {n: (config.index_dir / n).read_bytes() for n in ARTIFACTS}
         lines = (TOY / "embeddings.txt").read_text(
             encoding="utf-8").splitlines()
-        bad = filler_rows(1)[0].replace(" ", " x", 1)
+        unused = filler_rows(1)[0].replace(" ", " x", 1)
         table = tmp_path / "bad.txt"
-        table.write_text("\n".join([*lines, bad]) + "\n", encoding="utf-8")
+        table.write_text("\n".join([*lines, unused]) + "\n", encoding="utf-8")
+        bad_summary = run_index(override_config(config, embeddings_path=table))
+        assert bad_summary.pop("embedding_rows_read") == \
+            summary.pop("embedding_rows_read") + 1
+        assert bad_summary == summary
+        for name, before in artifacts.items():
+            assert (config.index_dir / name).read_bytes() == before, name
+        # The row of a token some video uses is parsed, and refused.
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("sparql "))
+        lines[at] = lines[at].replace(" ", " x", 1)
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError,
-                           match=rf"bad\.txt:{len(lines) + 1}: non-numeric"):
+                           match=rf"bad\.txt:{at + 1}: non-numeric"):
             run_index(override_config(config, embeddings_path=table))
 
     def test_table_without_corpus_tokens_builds_degenerate(self, config,
