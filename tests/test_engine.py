@@ -515,13 +515,180 @@ class TestSelection:
                                          index.id_rank, k))
 
     def test_ties_straddle_the_kth_place(self):
-        index = _with_reuploads(hierarchy_corpus(), ["a2"],
-                                random.Random(3)).index()
-        full = recommend("a1", index, len(index) - 1).ranked
+        corpus = _with_reuploads(hierarchy_corpus(), ["a2"], random.Random(3))
+        full = recommend("a1", corpus.index(), len(corpus.ids) - 1).ranked
         assert [vid for vid, _ in full[:3]] == ["a2", "a2_re", "a_a2"]
         assert full[0][1] == full[1][1] == full[2][1] > full[3][1]
         for k in (1, 2, 3):
+            assert recommend("a1", corpus.index(), k).ranked == full[:k]
+        # A stored list that ends inside the three-way tie: k = 3 selects
+        # afresh past it, and k = 1 and 2 cut the longer list it leaves.
+        index = corpus.index()
+        for k in (2, 3, 1, 2):
             assert recommend("a1", index, k).ranked == full[:k]
+
+
+def _memo_corpora():
+    """The hierarchy corpus, then seeded random micro corpora with
+    re-uploads (exact ties) and a video with no evidence."""
+    yield hierarchy_corpus()
+    rng = random.Random(131)
+    for _ in range(12):
+        corpus = random_micro_corpus(rng)
+        yield _with_ghost(_with_reuploads(
+            corpus, rng.sample(corpus.ids, min(2, len(corpus.ids))), rng))
+
+
+class TestMemo:
+    """An index answers a repeated (query, method) from its memo of the
+    largest answer given for that row; those answers must be the scored
+    ones."""
+
+    def test_warm_answers_equal_fresh_ones(self):
+        rng = random.Random(139)
+        for corpus in _memo_corpora():
+            n = len(corpus.ids)
+            # Each fresh index answers each (query, method) once.
+            fresh = {}
+            for k in range(1, n):
+                index = corpus.index()
+                for method in METHODS:
+                    for query in corpus.ids:
+                        fresh[query, method, k] = _ranked_bits(
+                            recommend(query, index, k, method).ranked)
+            shuffled = rng.sample(range(1, n), n - 1)
+            for first in sorted({1, min(3, n - 1), n - 1}):
+                for ks in (range(1, n), range(n - 1, 0, -1), shuffled):
+                    warm = corpus.index()
+                    for k in (first, *ks):
+                        for method in METHODS:
+                            for query in corpus.ids:
+                                rec = recommend(query, warm, k, method)
+                                assert (_ranked_bits(rec.ranked)
+                                        == fresh[query, method, k])
+                    assert len(warm._top) == 2 * n
+
+    def test_changing_an_answer_changes_no_other(self):
+        index = hierarchy_corpus().index()
+        expected = recommend("a1", index, 3).ranked.copy()
+        first = recommend("a1", index, 3)
+        first.ranked[0] = ("b2", 0.0)
+        first.ranked.reverse()
+        first.ranked.append(("zz", 1.0))
+        second = recommend("a1", index, 2)
+        second.ranked.clear()
+        second.k, second.query_id, second.method = 0, "b1", WITHOUT_LOD
+        second.ranked = [("zz", 1.0)]
+        again = recommend("a1", index, 3)
+        assert again.ranked == expected
+        assert recommend("a1", index, 2).ranked == expected[:2]
+        assert (again.query_id, again.method, again.k) == ("a1", WITH_LOD, 3)
+
+    def test_bad_calls_still_raise_on_a_warm_memo(self):
+        index = hierarchy_corpus().index()
+        for method in METHODS:
+            for query in index.ids:
+                recommend(query, index, 3, method)
+        with pytest.raises(UnknownIdError):
+            recommend("nope", index, 1)
+        for k in (0, -1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                recommend("a1", index, k)
+        with pytest.raises(ValueError, match="unknown method"):
+            recommend("a1", index, 1, method="hybrid")
+
+    def test_memo_holds_no_more_than_was_asked(self):
+        """At most one list per (row, method).  Until the memo answers a
+        call, each is as long as the largest k asked of its row; after,
+        none is longer than the largest k asked of its method."""
+        rng = random.Random(137)
+        for corpus in _memo_corpora():
+            n = len(corpus.ids)
+            index = corpus.index()
+            largest, per_method, repeated = {}, {}, False
+            for _ in range(6 * n):
+                query, method = rng.choice(corpus.ids), rng.choice(METHODS)
+                k = rng.randint(1, n - 1)
+                row = index.position(query), method
+                repeated = repeated or len(index._top.get(row, ())) >= k
+                recommend(query, index, k, method)
+                largest[row] = max(k, largest.get(row, 0))
+                per_method[method] = max(k, per_method.get(method, 0))
+                held = {row: len(top) for row, top in index._top.items()}
+                assert len(held) <= 2 * n
+                if not repeated:
+                    assert held == largest
+                assert all(held[row] >= size for row, size in largest.items())
+                assert all(size <= per_method[method]
+                           for (_, method), size in held.items())
+
+    def test_a_miss_fills_its_block_once_the_memo_has_answered(
+            self, monkeypatch):
+        corpus = max(_memo_corpora(), key=lambda c: len(c.ids))
+        n = len(corpus.ids)
+        fresh = {(query, method, k): recommend(query, corpus.index(), k,
+                                               method).ranked
+                 for query in corpus.ids for method in METHODS
+                 for k in (2, 3)}
+        scored = []
+        kernel = engine._score_row
+
+        def counted(index, q, method=WITH_LOD):
+            scored.append(q)
+            return kernel(index, q, method)
+        monkeypatch.setattr(engine, "_score_row", counted)
+        for size in (1, 2, 3, 4, n):
+            monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", size)
+            index = corpus.index()
+
+            def ask(query, k, method=WITH_LOD):
+                scored.clear()
+                assert recommend(query, index, k, method).ranked \
+                    == fresh[query, method, k][:k]
+                return scored.copy()
+
+            def block(q, k, method=WITH_LOD):
+                """The rows a call on row ``q`` scores, in order."""
+                def short(r):
+                    return len(index._top.get((r, method), ())) < k
+                if not short(q):
+                    return []
+                start = q - q % size
+                return [q] + [r for r in range(start, min(start + size, n))
+                              if r != q and short(r)]
+
+            # A caller that asks each query once scores only its rows.
+            for q, query in enumerate(corpus.ids[:3]):
+                assert ask(query, 2) == [q]
+            assert ask(corpus.ids[0], 2) == []
+            for q in (n - 1, 4, 5):
+                expected = block(q, 2)
+                assert ask(corpus.ids[q], 2) == expected
+                start = q - q % size
+                assert all((r, WITH_LOD) in index._top
+                           for r in range(start, min(start + size, n)))
+                for r in expected:
+                    assert ask(corpus.ids[r], 2) == []
+            expected = block(4, 3)
+            assert ask(corpus.ids[4], 3) == expected
+            expected = block(4, 2, WITHOUT_LOD)
+            assert ask(corpus.ids[4], 2, WITHOUT_LOD) == expected
+            assert len(index._top) <= 2 * n
+            assert all(len(top) <= 3 for top in index._top.values())
+
+    def test_a_hit_runs_no_kernel(self, monkeypatch):
+        index = hierarchy_corpus().index()
+        answers = {(query, method, k): recommend(query, index, k, method)
+                   for query in index.ids for method in METHODS
+                   for k in (1, 2)}
+
+        def no_kernel(*_):
+            raise AssertionError("the kernel ran")
+        monkeypatch.setattr(engine, "_score_row", no_kernel)
+        for (query, method, k), first in answers.items():
+            assert recommend(query, index, k, method) == first
+        with pytest.raises(AssertionError, match="the kernel ran"):
+            recommend("a1", index, 3)  # longer than the stored list
 
 
 def _random_text_corpus(rng: np.random.Generator, n: int = 160,
