@@ -6,13 +6,15 @@ command reads its settings from a ``--config`` file with flags winning
 over file values, prints machine-parseable JSON (or TSV for ``matrix``)
 on stdout, and keeps human diagnostics on stderr.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error,
+141 stdout closed by its reader before the output was complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ddc
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command SIGPIPE killed
 
 
 class UsageError(Exception):
@@ -162,10 +165,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout (``lodrec matrix | head``): stop
+        # quietly.  The interpreter flushes stdout again at exit, so point
+        # it at devnull, or that flush fails too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (LodrecError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -6,10 +6,10 @@ One record per line, UTF-8:
      "tags": [{"surface": str, "provenance": str}]}
 
 Tags may additionally carry a ``gnd_id`` string once an authority link
-is known.  A field of another type is refused with a ``ParseError``
-naming the file and line.  JSON-lines is the canonical interchange
-format; the N-Triples subset reader in :mod:`lodrec.ntriples` produces
-the same records.
+is known.  A field of another type, or an id with a tab, CR or LF in
+it, is refused with a ``ParseError`` naming the file and line.
+JSON-lines is the canonical interchange format; the N-Triples subset
+reader in :mod:`lodrec.ntriples` produces the same records.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .errors import DuplicateIdError, ParseError
 PROVENANCES = ("manual", "transcript", "ocr", "visual")
 
 _LANGUAGE_RE = re.compile(r"^[a-z]{2}$")
+# The index files are lines of tab-separated fields, id first.
+_ID_BREAK_RE = re.compile(r"[\t\r\n]")
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,9 @@ def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
     vid = obj["id"]
     if not isinstance(vid, str) or not vid:
         raise ParseError(path, line_no, "id must be a non-empty string")
+    if _ID_BREAK_RE.search(vid):
+        raise ParseError(path, line_no, f"id {vid!r} contains a tab or line "
+                         "break, which the index files cannot hold")
     language = obj["language"]
     if not isinstance(language, str) or not _LANGUAGE_RE.match(language):
         raise ParseError(

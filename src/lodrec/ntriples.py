@@ -2,8 +2,11 @@
 
 Only the handful of predicates that map onto record fields are
 interpreted; every other well-formed triple is skipped silently.  The
-subject IRI is used verbatim as the video id.  Recognized predicates
-(object must be a literal):
+subject IRI is used verbatim as the video id.  An IRI holds no
+whitespace, so an id never has the tab or line break that the index
+files cannot hold: a line with one in its subject is not a triple, and
+is refused with the line quoted.  Recognized predicates (object must be
+a literal):
 
     http://purl.org/dc/terms/title          -> title
     http://purl.org/dc/terms/abstract       -> abstract

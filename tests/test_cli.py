@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,14 @@ from pathlib import Path
 import pytest
 
 from lodrec import METHODS, engine, load_config, load_index
-from lodrec.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from lodrec.cli import (
+    EXIT_DATA,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    main,
+)
 from lodrec.pipeline import ARTIFACTS, DOC_VECTORS_FILE, MANIFEST_FILE
 
 from conftest import (
@@ -218,6 +226,53 @@ class TestMatrix:
                                      indexed_config, "--method", method)
             assert (code, err) == (EXIT_OK, "")
             assert out == expected
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_reader_that_closes_the_pipe_stops_it_quietly(
+            self, capsys, tmp_path, unbuffered):
+        """``lodrec matrix | head -1``: the writer meets a closed pipe,
+        prints nothing and exits ``EXIT_PIPE``."""
+        records = [json.loads(line) for line in
+                   (TOY / "corpus.jsonl").read_text(encoding="utf-8")
+                   .splitlines()]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({**r, "id": f"{r['id']}_{copy:02d}"},
+                       ensure_ascii=False) + "\n"
+            for copy in range(40) for r in records), encoding="utf-8")
+        config = str(write_toy_config(tmp_path, corpus_path=str(corpus)))
+        assert main(["ingest", "--config", config]) == EXIT_OK
+        assert main(["index", "--config", config]) == EXIT_OK
+        capsys.readouterr()
+        # 320 videos: about 2 MB of TSV, far beyond what a pipe buffers,
+        # so the writer is still writing when the pipe closes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lodrec.cli", "matrix", "--config",
+             config], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**checkout_env(), "PYTHONUNBUFFERED": unbuffered})
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+        assert header.startswith(b"\tv001_00\t")
+        assert err == b""
+
+    @pytest.mark.parametrize("argv", [["matrix"], ["recommend", "v001"]])
+    def test_pipe_closed_before_any_output(self, indexed_config, argv):
+        """Output small enough to sit in stdout's buffer until the end
+        still meets the closed pipe inside ``main``, not at exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "lodrec.cli", *argv, "--config",
+                 indexed_config], stdout=write_end, stderr=subprocess.PIPE,
+                timeout=60, env={**checkout_env(), "PYTHONUNBUFFERED": ""})
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_PIPE, b"")
 
 
 class TestGolden:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -121,6 +122,18 @@ class TestValidation:
             obj["tags"][0][field] = value
         path = write_jsonl(tmp_path / "c.jsonl", [record_obj("v0"), obj])
         with pytest.raises(ParseError, match=rf"c\.jsonl:2: {message}"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("vid", ["v\t002", "v\r002", "v\n002", "v002\n"])
+    def test_id_with_tab_or_line_break_names_file_and_line(self, tmp_path,
+                                                           vid):
+        # The index files hold one id<TAB>... line per video, so such an
+        # id would pass ingest and index and break every load after them.
+        path = write_jsonl(tmp_path / "c.jsonl",
+                           [record_obj("v001"), record_obj(vid)])
+        with pytest.raises(ParseError, match=(
+                rf"c\.jsonl:2: id {re.escape(repr(vid))} contains a tab or "
+                "line break")):
             load_corpus(path)
 
     def test_tag_surfaces_trimmed_case_preserved(self, tmp_path):

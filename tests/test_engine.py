@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -766,23 +767,51 @@ def _one_video_index() -> CorpusIndex:
         "solo": DocVector("solo", np.array([0.3, -0.4]), 1, 0)}).index()
 
 
+def _three_block_index() -> CorpusIndex:
+    """130 videos, so 3 blocks at the default size, the last of 2 rows:
+    random text (some rows undefined), random codes on most videos,
+    unequal weights, two videos uploaded twice more (exact ties) and a
+    video with no evidence."""
+    rng = np.random.default_rng(137)
+    text = _random_text_corpus(rng, n=125, dim=7)
+    codes = {vid: DdcVector(vid, {int(d): float(rng.random())
+                                  for d in rng.choice(12, 3)})
+             for vid in text.ids if rng.random() < 0.7}
+    corpus = replace(text, codes=codes, weights=(0.3, 0.9))
+    return _with_ghost(_with_reuploads(
+        corpus, ["d004", "d077"], random.Random(139))).index()
+
+
+def matrix_writer_bound(n: int, rows: int) -> int:
+    """The bound README states on ``write_matrix_tsv``'s peak memory, in
+    bytes, for N = ``n`` videos in blocks of ``rows``: 25 bytes for each
+    of the at most ceil(N/2) * floor(N/2) cells whose text it holds, 64
+    for each string that holds ``rows`` of them, and 192 for each cell
+    of the block it formats."""
+    held = (n + 1) // 2 * (n // 2)
+    return 25 * held + 64 * (held // rows + n) + 192 * rows * n
+
+
 class TestStreamedMatrix:
     """``lodrec matrix`` formats and writes one block of kernel rows at a
-    time; neither the bytes nor the matrix depend on the block size."""
+    time, and formats each unordered pair once; neither the bytes nor the
+    matrix depend on the block size."""
 
     @pytest.mark.parametrize("make", [
         lambda: _with_ghost(random_micro_corpus(random.Random(89))).index(),
         lambda: _with_ghost(hierarchy_corpus()).index(),
         _one_video_index,
-    ], ids=["micro_ghost", "hierarchy_ghost", "one_video"])
+        _three_block_index,
+    ], ids=["micro_ghost", "hierarchy_ghost", "one_video", "three_blocks"])
     def test_bytes_do_not_depend_on_block_size(self, monkeypatch, make):
         index = make()
         n = len(index)
+        default = engine.MATRIX_BLOCK_ROWS
         for method in METHODS:
             dense = kernel_matrix(index, method)
             expected = cell_by_cell_tsv(index.ids, dense)
             assert expected.startswith("\t" + "\t".join(index.ids) + "\n")
-            for rows in sorted({1, 2, 3, n - 1, n, n + 1} - {0}):
+            for rows in sorted({1, 2, 3, default, n - 1, n, n + 1} - {0}):
                 monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", rows)
                 sizes = [len(b) for b in matrix_blocks(index, method)]
                 assert sizes == [min(rows, n - s) for s in range(0, n, rows)]
@@ -790,6 +819,46 @@ class TestStreamedMatrix:
                     _bits(np.vstack(list(matrix_blocks(index, method)))),
                     _bits(dense))
                 assert matrix_tsv(index, method) == expected
+
+    def test_three_block_index_has_what_it_is_built_to_have(self):
+        index = _three_block_index()
+        n = len(index)
+        assert n == 130 and n // engine.MATRIX_BLOCK_ROWS == 2
+        assert index.weights == (0.3, 0.9)
+        matrix = kernel_matrix(index, WITH_LOD)
+        assert np.isnan(matrix[index.position("ghost")]).all()
+        assert not index.has_text.all() and not index.has_codes.all()
+        for vid in ("d004", "d077"):
+            rows = [index.position(v) for v in (vid, f"a_{vid}", f"{vid}_re")]
+            assert np.array_equal(_bits(matrix[rows[0]]),
+                                  _bits(matrix[rows[1]]))
+            assert np.array_equal(_bits(matrix[rows[0]]),
+                                  _bits(matrix[rows[2]]))
+
+    @pytest.mark.parametrize("n, rows", [
+        (300, engine.MATRIX_BLOCK_ROWS), (800, 8)],
+        ids=["default_block", "8_row_blocks"])
+    def test_peak_memory_within_the_stated_bound(self, monkeypatch, n,
+                                                 rows):
+        monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", rows)
+        index = _random_text_corpus(np.random.default_rng(149), n=n,
+                                    dim=7).index()
+
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        out = Sink()
+        tracemalloc.start()
+        try:
+            write_matrix_tsv(index, out, WITHOUT_LOD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size > 16 * n * n  # the text of every cell went out
+        assert peak <= matrix_writer_bound(n, rows)
 
     def test_each_block_is_written_before_the_next_is_scored(
             self, monkeypatch):

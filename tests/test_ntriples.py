@@ -249,3 +249,17 @@ class TestErrors:
         lines = [*minimal(), f'{SUBJ} {OCR} "  " .']
         with pytest.raises(ParseError, match="surface"):
             read_ntriples(write_nt(tmp_path, lines))
+
+    def test_subject_with_a_tab_is_refused_naming_it(self, tmp_path):
+        # An IRI holds no whitespace, so no id reaches the index files
+        # with a tab or line break in it: such a subject is not a triple,
+        # and the error quotes it.  A \u0009 escape in an IRI is not
+        # decoded, as the id is the IRI verbatim.
+        lines = [*minimal(), f'<http://example.org/v\t002> {LANG} "de" .',
+                 f'<http://example.org/v\\u0009003> {LANG} "de" .']
+        with pytest.raises(ParseError, match=(
+                r"c\.nt:3: not a triple: '<http://example\.org/v\\t002>")):
+            read_ntriples(write_nt(tmp_path, lines))
+        del lines[2]
+        assert [r.id for r in read_ntriples(write_nt(tmp_path, lines))] == [
+            "http://example.org/v1", "http://example.org/v\\u0009003"]
