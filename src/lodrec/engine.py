@@ -11,10 +11,13 @@ Scoring is exhaustive over all candidate pairs.  At the corpus sizes
 this engine targets (low thousands) exactness is cheap and keeps every
 ranking auditable; there is no approximate nearest-neighbor index.
 
-All scores come from one kernel, ``_score_row``, which scores one query
-row against every video of a ``CorpusIndex``.  It reads the arrays that
-the index derives once, at construction, and holds in place of the
-vectors it was given:
+All scores come from one kernel with two entry points, chosen by how
+many rows the caller scores.  ``_score_row`` scores one query row
+against every video of a ``CorpusIndex``, for ``recommend`` and
+``combined_similarity``.  ``_score_block`` scores the rows s .. e - 1
+against the videos from s on, for the matrix.  Both read the arrays
+that the index derives once, at construction, and holds in place of
+the vectors it was given:
 
 - the doc vectors as an L2-normalised N x D array, with a mask of the
   rows that are defined (tokens found, non-zero norm) and the list of
@@ -25,8 +28,9 @@ vectors it was given:
 - the rank of each id in sorted order, for tie-breaks.
 
 Each cell depends only on its two vectors.  The text cosine is
-``np.vecdot(U, U[q])`` over the unit rows ``U``: one BLAS ``ddot`` per
-cell, on two rows of length D, so its summation order is fixed by D
+``np.vecdot(U, U[q])`` over the unit rows ``U`` (``U[s:]`` in a block):
+one BLAS ``ddot`` per cell, on two rows of length D at the same
+addresses in both entry points, so its summation order is fixed by D
 alone, whatever the number of rows or their order.  Never a BLAS
 mat-vec or mat-mat (``@``, ``np.dot`` on a matrix, ``einsum`` with
 ``optimize``): those pick their summation order by the batch shape, so
@@ -35,8 +39,11 @@ splits a ``ddot`` longer than 10,000 across its threads, which would
 make the bits depend on the process's BLAS thread count, so an index
 refuses doc vectors longer than ``MAX_TEXT_DIM``.
 The fragment cosine adds the products of the shared dimensions in
-ascending dimension order.  So a ``matrix_blocks`` row equals the
-``recommend`` scores bit for bit, the matrix is exactly symmetric, and
+ascending dimension order: one ``bincount`` over the query's postings,
+or over all of a block's, keyed by cell.  The combined score and its
+fallback are one elementwise step, ``_combine``, shared by both entry
+points.  So a ``matrix_blocks`` cell equals the ``recommend`` score of
+its pair bit for bit, the matrix is exactly symmetric, and
 ``combined_similarity``, one cell of a kernel row, agrees with both.
 NaN marks an undefined score inside the kernel only; scores
 leave it as ``None``.
@@ -71,19 +78,21 @@ immutable pairs, so a caller that changes its answer changes no other.
 Two threads that miss on one row both score it and store lists that
 agree on their common prefix, so the memo needs no lock.
 
-The matrix is produced as blocks of ``MATRIX_BLOCK_ROWS`` kernel rows
-(``matrix_blocks``); ``write_matrix_tsv`` formats and writes each block
-as it comes.  A float ``repr`` (about 0.7 us on a 2-CPU Xeon) costs
-more than the kernel's share of a cell, and the matrix is exactly
-symmetric, bit for bit, so the writer calls ``repr`` once per unordered
-pair.  Row r formats its cells from column r on.  Its cells left of
-column r are the cells that the rows above it formatted at column r:
-the writer keeps them as one tab-joined string per block of rows, and
-drops them once row r is written.  An undefined cell formats as
-``nan``, and one ``replace`` per row empties it; no other float
-``repr`` holds ``nan``.  Between blocks the writer holds the text of
-at most ceil(N/2) * floor(N/2) cells, plus, while it formats a block,
-that block's: a tracemalloc peak of 33.7 MiB at N = 2,000 (README
+The matrix is produced as blocks of ``MATRIX_BLOCK_ROWS`` rows
+(``matrix_blocks``), each scored in one ``_score_block`` pass from its
+diagonal on: the block of rows s .. e - 1 holds their cells at columns
+s .. N - 1, about half the cells of full rows.  ``write_matrix_tsv``
+formats and writes each block as it comes.  A float ``repr`` (about
+0.7 us on a 2-CPU Xeon) costs more than the kernel's share of a cell,
+and the matrix is exactly symmetric, bit for bit, so the writer calls
+``repr`` once per unordered pair.  Row r formats its cells from column
+r on.  Its cells left of column r are the cells that the rows above it
+formatted at column r: the writer keeps them as one tab-joined string
+per block of rows, and drops them once row r is written.  An undefined
+cell formats as ``nan``; in the block rows that hold one, the writer
+empties it before it keeps the text.  Between blocks the writer holds
+the text of at most ceil(N/2) * floor(N/2) cells, plus, while it
+formats a block, that block's: a tracemalloc peak of 33.7 MiB at N = 2,000 (README
 states the bound), against 7.5 MiB when each row formatted all its
 cells.  It never holds the whole matrix or TSV.
 """
@@ -288,11 +297,18 @@ def _score_row(index: CorpusIndex, q: int, method: str = WITH_LOD):
     else:
         s_ddc = np.full(n, np.nan)
 
-    w_text, w_ddc = index.weights
+    return s_text, s_ddc, _combine(index.weights, s_text, s_ddc)
+
+
+def _combine(weights: tuple[float, float], s_text: np.ndarray,
+             s_ddc: np.ndarray) -> np.ndarray:
+    """The combined scores of two same-shaped route arrays, cell by cell:
+    the weighted mean where both are defined, else the defined one."""
+    w_text, w_ddc = weights
     s_lod = (w_text * s_text + w_ddc * s_ddc) / (w_text + w_ddc)
     np.copyto(s_lod, s_text, where=np.isnan(s_ddc))
     np.copyto(s_lod, s_ddc, where=np.isnan(s_text))
-    return s_text, s_ddc, s_lod
+    return s_lod
 
 
 def _method_scores(index: CorpusIndex, q: int, method: str) -> np.ndarray:
@@ -364,19 +380,70 @@ def _top_k(index: CorpusIndex, q: int, k: int, method: str
     return [(index.ids[c], _value(scores[c])) for c in top.tolist()]
 
 
+def _score_block(index: CorpusIndex, start: int, stop: int, method: str
+                 ) -> np.ndarray:
+    """The ``method`` scores of rows ``start`` .. ``stop - 1`` at columns
+    ``start`` .. N - 1, as a (stop - start) x (N - start) array, NaN
+    where undefined.  Each cell takes the operations that ``_score_row``
+    gives it, so it has the same bits."""
+    unit, has_text = index.unit_text, index.has_text
+    s_text = np.empty((stop - start, len(has_text) - start))
+    for i, r in enumerate(range(start, stop)):
+        if has_text[r]:
+            np.vecdot(unit[start:], unit[r], out=s_text[i])
+        else:
+            s_text[i] = np.nan
+    s_text[:, _from(index.no_text, start)] = np.nan
+    if method == WITHOUT_LOD:
+        return s_text
+
+    # All postings of the block's query dimensions, row by row and
+    # dimension by dimension, keyed by their cell, less those left of the
+    # block's first column; bincount adds them to each cell in ascending
+    # dimension order.
+    lo, hi = index.row_ptr[start], index.row_ptr[stop]
+    q_dims = index.row_dim[lo:hi]
+    starts = index.dim_ptr[q_dims]
+    counts = index.dim_ptr[q_dims + 1] - starts
+    take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+    column = index.post_row[take] - start
+    q_rows = np.repeat(np.arange(stop - start),
+                       np.diff(index.row_ptr[start:stop + 1]))
+    cell = np.repeat(q_rows, counts) * s_text.shape[1] + column
+    weight = index.post_weight[take] * np.repeat(index.row_weight[lo:hi],
+                                                 counts)
+    kept = column >= 0
+    # Without keys bincount returns int64 zeros, which NaN cannot mark.
+    s_ddc = np.bincount(cell[kept], weights=weight[kept],
+                        minlength=s_text.size
+                        ).astype(np.float64, copy=False).reshape(s_text.shape)
+    s_ddc[~index.has_codes[start:stop]] = np.nan
+    s_ddc[:, _from(index.no_codes, start)] = np.nan
+    return _combine(index.weights, s_text, s_ddc)
+
+
+def _from(rows: np.ndarray, start: int) -> np.ndarray:
+    """The ascending ``rows`` at or after ``start``, less ``start``."""
+    return rows[np.searchsorted(rows, start):] - start
+
+
 def matrix_blocks(index: CorpusIndex, method: str = WITH_LOD):
     """The pairwise score matrix as consecutive blocks of at most
-    ``MATRIX_BLOCK_ROWS`` rows, top to bottom; NaN marks undefined cells.
+    ``MATRIX_BLOCK_ROWS`` rows, top to bottom, each from its diagonal
+    on: the block of rows s .. e - 1 holds their cells at columns
+    s .. N - 1.  NaN marks undefined cells.
 
-    Row ``r`` is the kernel's answer for query ``r``, so each row equals
-    the ``recommend`` scores and the matrix is exactly symmetric.
+    Each cell has the bits of the ``recommend`` score of its pair, and
+    the matrix is exactly symmetric, so the cells left of a block are
+    those that the blocks above it hold in its columns.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     n = len(index.ids)
     for start in range(0, n, MATRIX_BLOCK_ROWS):
-        yield np.stack([_method_scores(index, r, method) for r in
-                        range(start, min(start + MATRIX_BLOCK_ROWS, n))])
+        yield _score_block(index, start, min(start + MATRIX_BLOCK_ROWS, n),
+                           method)
 
 
 def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
@@ -393,9 +460,14 @@ def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
     start = 0
     for block in matrix_blocks(index, method):
         width = len(block)
-        # Row start + i formats its cells from column start + i on.
-        cells = [list(map(repr, row[start + i:].tolist()))
+        # Row start + i formats its cells from column start + i on; an
+        # undefined cell's ``nan`` is emptied before its text is kept.
+        cells = [list(map(repr, row[i:].tolist()))
                  for i, row in enumerate(block)]
+        undefined = np.isnan(block)
+        for i in np.flatnonzero(undefined.any(axis=1)).tolist():
+            for c in np.flatnonzero(undefined[i, i:]).tolist():
+                cells[i][c] = ""
         for j in range(1, width):  # columns of the block: the rows above
             left[start + j].append(
                 "\t".join([cells[i][j - i] for i in range(j)]))
@@ -405,9 +477,7 @@ def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
             left[c].append("\t".join(column))
         lines = []
         for r, row in enumerate(cells, start):
-            lines.append(ids[r] + "\t"
-                         + "\t".join(left[r] + row).replace("nan", "")
-                         + "\n")
+            lines.append(ids[r] + "\t" + "\t".join(left[r] + row) + "\n")
             left[r] = None
         out.write("".join(lines))
         start += width

@@ -2,11 +2,16 @@
 
 Only the handful of predicates that map onto record fields are
 interpreted; every other well-formed triple is skipped silently.  The
-subject IRI is used verbatim as the video id.  An IRI holds no
-whitespace, so an id never has the tab or line break that the index
-files cannot hold: a line with one in its subject is not a triple, and
-is refused with the line quoted.  Recognized predicates (object must be
-a literal):
+subject IRI, its ``\\uXXXX`` and ``\\UXXXXXXXX`` escapes decoded, is the
+video id, so an IRI written with an escape and one written with its
+character name one video.  An IRI holds no whitespace, so an id never
+has the tab or line break that the index files cannot hold: a line with
+one in its subject is not a triple, and is refused with the line
+quoted.  An IRI with any other escape, with an escape of no character
+(a surrogate, or above U+10FFFF), or that decodes to a character no IRI
+may hold (a code point up to U+0020, or one of ``<>"{}|^`\\``) is
+refused naming the line.  Predicate IRIs are decoded the same way.
+Recognized predicates (object must be a literal):
 
     http://purl.org/dc/terms/title          -> title
     http://purl.org/dc/terms/abstract       -> abstract
@@ -89,6 +94,37 @@ def _unescape(lit: str, path, line_no: int) -> str:
     return _ESCAPE_RE.sub(replace, lit)
 
 
+# In an IRI the only escapes are \uXXXX and \UXXXXXXXX; a backslash that
+# starts neither is an error.
+_IRI_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))?")
+# What the IRIREF rule of N-Triples excludes from an IRI, raw or escaped.
+_IRI_EXCLUDED_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+
+
+def _decode_iri(iri: str, path, line_no: int) -> str:
+    if "\\" not in iri:
+        return iri
+
+    def replace(m: re.Match) -> str:
+        hexpart = m.group(1) or m.group(2)
+        if hexpart is None:
+            raise ParseError(path, line_no, f"IRI <{iri}> has an escape "
+                             "other than \\uXXXX or \\UXXXXXXXX")
+        code = int(hexpart, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ParseError(path, line_no, f"IRI <{iri}> escapes "
+                             f"U+{hexpart.upper()}, which is no character")
+        return chr(code)
+
+    decoded = _IRI_ESCAPE_RE.sub(replace, iri)
+    bad = _IRI_EXCLUDED_RE.search(decoded)
+    if bad is not None:
+        raise ParseError(path, line_no, f"IRI <{iri}> holds "
+                         f"U+{ord(bad.group()):04X} once decoded, which no "
+                         "IRI may hold")
+    return decoded
+
+
 def read_ntriples(path) -> list[VideoRecord]:
     """Parse the subset and assemble records in order of first mention."""
     path = Path(path)
@@ -105,10 +141,11 @@ def read_ntriples(path) -> list[VideoRecord]:
             if m is None:
                 raise ParseError(path, line_no, f"not a triple: {stripped!r}")
             subj = m.group("subj")
-            pred = m.group("pred")
+            pred = _decode_iri(m.group("pred"), path, line_no)
             lit = m.group("obj_lit")
             if subj is None:
                 continue  # blank-node subjects cannot name a video
+            subj = _decode_iri(subj, path, line_no)
             if lit is None:
                 continue  # only literal objects carry field values
             if pred not in FIELD_PREDICATES and pred not in TAG_PREDICATES:

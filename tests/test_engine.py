@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import io
 import math
+import platform
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -31,6 +35,7 @@ from lodrec.engine import _score_row, matrix_blocks
 from conftest import (
     Vectors,
     cell_by_cell_tsv,
+    checkout_env,
     dense_cosine,
     former_glue,
     former_top_k,
@@ -782,6 +787,21 @@ def _three_block_index() -> CorpusIndex:
         corpus, ["d004", "d077"], random.Random(139))).index()
 
 
+def _one_route_blocks_index() -> CorpusIndex:
+    """150 videos, so 3 blocks at the default size: no video of the first
+    block has codes, no video of the second has text, and most videos of
+    the third have both."""
+    rng = np.random.default_rng(151)
+    corpus = _random_text_corpus(rng, n=150, dim=7)
+    rows = engine.MATRIX_BLOCK_ROWS
+    docs = {vid: replace(doc, tokens_used=0) if rows <= r < 2 * rows
+            else doc for r, (vid, doc) in enumerate(corpus.docs.items())}
+    codes = {vid: DdcVector(vid, {int(d): float(rng.random())
+                                  for d in rng.choice(12, 3)})
+             for vid in corpus.ids[rows:] if rng.random() < 0.8}
+    return replace(corpus, docs=docs, codes=codes).index()
+
+
 def matrix_writer_bound(n: int, rows: int) -> int:
     """The bound README states on ``write_matrix_tsv``'s peak memory, in
     bytes, for N = ``n`` videos in blocks of ``rows``: 25 bytes for each
@@ -802,7 +822,9 @@ class TestStreamedMatrix:
         lambda: _with_ghost(hierarchy_corpus()).index(),
         _one_video_index,
         _three_block_index,
-    ], ids=["micro_ghost", "hierarchy_ghost", "one_video", "three_blocks"])
+        _one_route_blocks_index,
+    ], ids=["micro_ghost", "hierarchy_ghost", "one_video", "three_blocks",
+            "one_route_blocks"])
     def test_bytes_do_not_depend_on_block_size(self, monkeypatch, make):
         index = make()
         n = len(index)
@@ -813,12 +835,59 @@ class TestStreamedMatrix:
             assert expected.startswith("\t" + "\t".join(index.ids) + "\n")
             for rows in sorted({1, 2, 3, default, n - 1, n, n + 1} - {0}):
                 monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", rows)
-                sizes = [len(b) for b in matrix_blocks(index, method)]
-                assert sizes == [min(rows, n - s) for s in range(0, n, rows)]
-                assert np.array_equal(
-                    _bits(np.vstack(list(matrix_blocks(index, method)))),
-                    _bits(dense))
+                start = 0
+                for block in matrix_blocks(index, method):
+                    stop = min(start + rows, n)
+                    assert block.dtype == np.float64
+                    assert np.array_equal(_bits(block),
+                                          _bits(dense[start:stop, start:]))
+                    start = stop
+                assert start == n
                 assert matrix_tsv(index, method) == expected
+
+    def test_one_route_blocks_index_has_what_it_is_built_to_have(self):
+        index = _one_route_blocks_index()
+        rows = engine.MATRIX_BLOCK_ROWS
+        assert len(index) == 150
+        assert not index.has_codes[:rows].any()
+        assert not index.has_text[rows:2 * rows].any()
+        assert index.has_text[:rows].any() and index.has_codes[rows:].any()
+        assert (index.has_text & index.has_codes)[2 * rows:].mean() > 0.5
+
+    def test_no_cell_left_of_a_block_is_scored(self, monkeypatch):
+        index = _three_block_index()
+        n, rows = len(index), engine.MATRIX_BLOCK_ROWS
+        vecdot, bincount = np.vecdot, np.bincount
+        text_cells, code_terms = [], []
+
+        def counting_vecdot(a, b, **kwargs):
+            text_cells.append(len(a))
+            return vecdot(a, b, **kwargs)
+
+        def counting_bincount(x, weights=None, minlength=0):
+            code_terms.append((len(x), minlength))
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "vecdot", counting_vecdot)
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        blocks = list(matrix_blocks(index, WITH_LOD))
+        monkeypatch.undo()
+
+        def dims(r):
+            return set(index.row_dim[index.row_ptr[r]:index.row_ptr[r + 1]]
+                       .tolist())
+
+        starts = range(0, n, rows)
+        assert [b.shape for b in blocks] == [
+            (min(rows, n - s), n - s) for s in starts]
+        # One text product per cell from the block's first column on...
+        assert text_cells == [n - r // rows * rows for r in range(n)
+                              if index.has_text[r]]
+        # ...and one code product per shared dimension of such a cell.
+        assert code_terms == [
+            (sum(len(dims(r) & dims(c)) for r in range(s, min(s + rows, n))
+                 for c in range(s, n)), min(rows, n - s) * (n - s))
+            for s in starts]
 
     def test_three_block_index_has_what_it_is_built_to_have(self):
         index = _three_block_index()
@@ -864,13 +933,13 @@ class TestStreamedMatrix:
             self, monkeypatch):
         index = _with_ghost(random_micro_corpus(random.Random(101))).index()
         monkeypatch.setattr(engine, "MATRIX_BLOCK_ROWS", 2)
-        kernel, scored = engine._method_scores, []
+        kernel, scored = engine._score_block, []
 
-        def counting_kernel(index, q, method):
-            scored.append(q)
-            return kernel(index, q, method)
+        def counting_kernel(index, start, stop, method):
+            scored.extend(range(start, stop))
+            return kernel(index, start, stop, method)
 
-        monkeypatch.setattr(engine, "_method_scores", counting_kernel)
+        monkeypatch.setattr(engine, "_score_block", counting_kernel)
         writes = []
 
         class Out:
@@ -889,3 +958,72 @@ class TestStreamedMatrix:
         index = Vectors([], {}).index()
         assert list(matrix_blocks(index)) == []
         assert matrix_tsv(index) == "\t\n"
+
+
+# OpenBLAS core types and the CPU flag each needs, per /proc/cpuinfo.
+_CORE_TYPE_FLAGS = {"Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+# Run in a child process: every cell of ``matrix_blocks`` has the bits of
+# the ``recommend`` score of its pair, both methods.
+_BLOCKS_EQUAL_RECOMMEND = textwrap.dedent("""
+    import numpy as np
+    from lodrec.engine import (METHODS, CorpusIndex, matrix_blocks,
+                               recommend)
+
+    rng = np.random.default_rng(173)
+    n, dim = 150, 301
+    text = rng.normal(size=(n, dim))
+    text[rng.random(n) < 0.05] = 0.0
+    codes = [sorted(set(rng.choice(12, 3).tolist()))
+             if rng.random() < 0.7 else [] for _ in range(n)]
+    index = CorpusIndex(
+        [f"v{r:03d}" for r in range(n)], text,
+        (rng.random(n) > 0.05).astype(np.int64),
+        np.cumsum([0] + [len(c) for c in codes]),
+        np.array([d for c in codes for d in c], dtype=np.intp),
+        rng.random(sum(map(len, codes))), weights=(0.3, 0.9))
+    for method in METHODS:
+        start = 0
+        for block in matrix_blocks(index, method):
+            for i, row in enumerate(block.tolist()):
+                r = start + i
+                scores = dict(recommend(index.ids[r], index, n - 1,
+                                        method).ranked)
+                for c, cell in enumerate(row, start):
+                    if c != r:
+                        want = scores[index.ids[c]]
+                        assert (cell != cell if want is None
+                                else cell.hex() == want.hex()), (r, c)
+            start += len(block)
+        assert start == n
+    print("equal")
+""")
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii",
+                  errors="replace") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    return set(line.partition(":")[2].split())
+    except OSError:
+        pass
+    return set()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS core types named here are x86-64's")
+@pytest.mark.parametrize("core", list(_CORE_TYPE_FLAGS))
+def test_blocks_equal_recommend_under_other_blas_kernels(core):
+    """Each OpenBLAS kernel adds a ``ddot`` in its own order, so the text
+    bits depend on the CPU; within one process the matrix and
+    ``recommend`` must still agree bit for bit.  The golden digests are
+    not checked here: they hold for one kernel only."""
+    if _CORE_TYPE_FLAGS[core] not in _cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernels")
+    out = subprocess.run(
+        [sys.executable, "-c", _BLOCKS_EQUAL_RECOMMEND],
+        env={**checkout_env(), "OPENBLAS_CORETYPE": core},
+        capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout) == (0, "equal\n"), out.stderr

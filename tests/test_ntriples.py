@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -253,13 +255,67 @@ class TestErrors:
     def test_subject_with_a_tab_is_refused_naming_it(self, tmp_path):
         # An IRI holds no whitespace, so no id reaches the index files
         # with a tab or line break in it: such a subject is not a triple,
-        # and the error quotes it.  A \u0009 escape in an IRI is not
-        # decoded, as the id is the IRI verbatim.
+        # and the error quotes it.  Its \u0009 escape is decoded, and the
+        # tab it decodes to is refused too.
         lines = [*minimal(), f'<http://example.org/v\t002> {LANG} "de" .',
                  f'<http://example.org/v\\u0009003> {LANG} "de" .']
         with pytest.raises(ParseError, match=(
                 r"c\.nt:3: not a triple: '<http://example\.org/v\\t002>")):
             read_ntriples(write_nt(tmp_path, lines))
         del lines[2]
-        assert [r.id for r in read_ntriples(write_nt(tmp_path, lines))] == [
-            "http://example.org/v1", "http://example.org/v\\u0009003"]
+        with pytest.raises(ParseError, match=(
+                r"/c\.nt:3: IRI <http://example\.org/v\\u0009003> holds "
+                r"U\+0009 once decoded")):
+            read_ntriples(write_nt(tmp_path, lines))
+
+
+class TestIriEscapes:
+    """A subject or predicate IRI has its \\u and \\U escapes decoded, as
+    the IRIREF rule of N-Triples allows; no other escape, and no
+    character that rule excludes, may appear."""
+
+    @pytest.mark.parametrize("escaped", [
+        r"v\u00E9", r"v\u00e9", r"v\U000000E9"])
+    def test_escaped_and_raw_subjects_name_one_video(self, tmp_path, escaped):
+        lines = [f'<http://example.org/{escaped}> {TITLE} "Titel" .',
+                 f'<http://example.org/vé> {LANG} "de" .']
+        [record] = read_ntriples(write_nt(tmp_path, lines))
+        assert record.id == "http://example.org/vé"
+        assert (record.title, record.language) == ("Titel", "de")
+
+    def test_astral_escape(self, tmp_path):
+        lines = minimal([f'<http://example.org/\\U0001F3AC> {LANG} "de" .'])
+        assert read_ntriples(write_nt(tmp_path, lines))[1].id == (
+            "http://example.org/\U0001f3ac")
+
+    def test_escaped_predicate_is_recognized(self, tmp_path):
+        lines = minimal([f'{SUBJ} <http://purl.org/dc/terms/'
+                         f'\\u0061bstract> "Zusammenfassung" .'])
+        assert read_ntriples(write_nt(tmp_path, lines))[0].abstract == (
+            "Zusammenfassung")
+
+    @pytest.mark.parametrize("iri, message", [
+        (r"http://example.org/v\t1", r"has an escape other than"),
+        (r"http://example.org/v\x41", r"has an escape other than"),
+        (r"http://example.org/v\u00E", r"has an escape other than"),
+        (r"http://example.org/v\u00G9", r"has an escape other than"),
+        (r"http://example.org/v\U0001F3A", r"has an escape other than"),
+        ("http://example.org/v\\", r"has an escape other than"),
+        (r"http://example.org/v\U00110000",
+         r"escapes U\+00110000, which is no character"),
+        (r"http://example.org/v\uD800",
+         r"escapes U\+D800, which is no character"),
+        (r"http://example.org/v\u0020x", r"holds U\+0020 once decoded"),
+        (r"http://example.org/v\u0000x", r"holds U\+0000 once decoded"),
+        (r"http://example.org/v\u003Cx", r"holds U\+003C once decoded"),
+        (r"http://example.org/v\u005Cx", r"holds U\+005C once decoded"),
+        (r"http://example.org/v\u007Bx", r"holds U\+007B once decoded"),
+    ])
+    @pytest.mark.parametrize("where", ["subject", "predicate"])
+    def test_bad_iri_is_refused_naming_the_line(self, tmp_path, iri,
+                                                message, where):
+        triple = (f'<{iri}> {LANG} "de" .' if where == "subject"
+                  else f'{SUBJ} <{iri}> "x" .')
+        with pytest.raises(ParseError, match=(
+                rf"/c\.nt:3: IRI <{re.escape(iri)}> {message}")):
+            read_ntriples(write_nt(tmp_path, minimal([triple])))
