@@ -7,7 +7,9 @@ One record per line, UTF-8:
 
 Tags may additionally carry a ``gnd_id`` string once an authority link
 is known.  A field of another type, or an id with a tab, CR or LF in
-it, is refused with a ``ParseError`` naming the file and line.
+it, is refused with a ``ParseError`` naming the file and line, as is a
+string holding a lone surrogate (the ``\\ud800`` escape), which UTF-8
+cannot encode.
 JSON-lines is the canonical interchange format; the N-Triples subset
 reader in :mod:`lodrec.ntriples` produces the same records.
 """
@@ -26,6 +28,9 @@ PROVENANCES = ("manual", "transcript", "ocr", "visual")
 _LANGUAGE_RE = re.compile(r"^[a-z]{2}$")
 # The index files are lines of tab-separated fields, id first.
 _ID_BREAK_RE = re.compile(r"[\t\r\n]")
+# JSON's \ud800 escape decodes to a lone surrogate, which UTF-8, the
+# encoding of every index file, cannot encode.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,21 @@ def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
     )
 
 
+def _check_encodable(record: VideoRecord, path, line_no: int) -> None:
+    """Refuse a lone surrogate in any string of the record."""
+    fields = [("id", record.id), ("language", record.language),
+              ("title", record.title), ("abstract", record.abstract)]
+    for tag in record.tags:
+        fields += [("tag surface", tag.surface),
+                   ("tag gnd_id", tag.gnd_id or "")]
+    for name, value in fields:
+        bad = _SURROGATE_RE.search(value)
+        if bad is not None:
+            raise ParseError(path, line_no, f"{name} holds the lone "
+                             f"surrogate U+{ord(bad.group()):04X}, which "
+                             "UTF-8 cannot encode")
+
+
 def _read_jsonl(path) -> list[VideoRecord]:
     records = []
     first_line: dict[str, int] = {}  # video id -> line of its record
@@ -128,6 +148,8 @@ def _read_jsonl(path) -> list[VideoRecord]:
             if not isinstance(obj, dict):
                 raise ParseError(path, line_no, "record must be a JSON object")
             record = _build_record(obj, path, line_no)
+            if "\\u" in line:  # only an escape decodes to a surrogate
+                _check_encodable(record, path, line_no)
             if record.id in first_line:
                 raise DuplicateIdError(
                     f"{path}:{line_no}: duplicate video id: {record.id!r} "

@@ -10,16 +10,18 @@ point of fragmenting the hierarchy in the first place.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
 from .authority import EnrichedVideo
 from .ddc import DEFAULT_MODE, Fragment, fragment_code
-from .errors import ParseError
+from .errors import LodrecError
 
 
 @dataclass
@@ -147,59 +149,71 @@ def save_vocabulary(vocab: FragmentVocabulary, path) -> None:
         f.write(vocab.serialize())
 
 
-def save_ddc_vectors(vectors: list[DdcVector], path) -> None:
-    """One ``video_id<TAB>dim:weight,...`` line per video."""
-    with open(path, "w", encoding="utf-8") as f:
-        for v in vectors:
-            cells = ",".join(f"{d}:{w!r}" for d, w in sorted(v.weights.items()))
-            f.write(f"{v.video_id}\t{cells}\n")
+# The fragment rows on disk: the CSR arrays that ``CorpusIndex`` takes,
+# one plain ``.npy`` file each, by name with its dtype.  Row ``r``'s
+# dimensions, strictly ascending, are ``dims[offsets[r]:offsets[r + 1]]``,
+# with their weights at the same places; row ``r`` is the video on row
+# ``r`` of the doc vectors.
+DDC_VECTORS_FILES = {"ddc_offsets.npy": np.int64, "ddc_dims.npy": np.int64,
+                     "ddc_weights.npy": np.float64}
 
 
-def load_ddc_vectors(path) -> tuple[list[str], np.ndarray, np.ndarray,
-                                    np.ndarray]:
-    """Read the rows as CSR, ``(ids, ptr, dims, weights)``: row ``r``'s
-    dimensions are ``dims[ptr[r]:ptr[r + 1]]``, strictly ascending, and
-    their weights ``weights[ptr[r]:ptr[r + 1]]``."""
-    ids: list[str] = []
-    ptr = [0]
-    dims: list[int] = []
-    weights: list[float] = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, line_no, "expected id<TAB>weights")
-            video_id, cells = fields
-            last = -1
-            for cell in cells.split(",") if cells else ():
-                try:
-                    dim_s, w_s = cell.split(":")
-                    dim, weight = int(dim_s), float(w_s)
-                except ValueError:
-                    raise ParseError(path, line_no,
-                                     f"bad weight cell {cell!r}") from None
-                if not math.isfinite(weight):
-                    raise ParseError(path, line_no,
-                                     f"non-finite weight {cell!r}")
-                if dim <= last:
-                    raise ParseError(
-                        path, line_no, f"dimension out of order in "
-                        f"{cell!r}: a row's dimensions must be "
-                        "non-negative and strictly ascending")
-                last = dim
-                dims.append(dim)
-                weights.append(weight)
-            ids.append(video_id)
-            ptr.append(len(dims))
-    return (ids, np.array(ptr, dtype=np.intp), np.array(dims, dtype=np.intp),
-            np.array(weights, dtype=np.float64))
+def save_ddc_vectors(vectors: list[DdcVector], directory) -> None:
+    cells = [cell for v in vectors for cell in sorted(v.weights.items())]
+    arrays = (np.cumsum([0] + [len(v.weights) for v in vectors]),
+              [d for d, _ in cells], [w for _, w in cells])
+    for (name, dtype), array in zip(DDC_VECTORS_FILES.items(), arrays):
+        np.save(Path(directory) / name, np.array(array, dtype=dtype),
+                allow_pickle=False)
+
+
+def _parse_npy(path: Path, data: bytes) -> np.ndarray:
+    """The 1-D array in ``data``, the bytes of a plain ``.npy`` file."""
+    f = io.BytesIO(data)
+    try:
+        if not data.startswith(np.lib.format.MAGIC_PREFIX):
+            raise ValueError("no .npy magic string")
+        array = np.load(f, allow_pickle=False)
+        if f.tell() != len(data):
+            raise ValueError("bytes after the array")
+    except (ValueError, EOFError) as e:
+        raise LodrecError(f"{path}: not a plain .npy array ({e})") from None
+    dtype = np.dtype(DDC_VECTORS_FILES[path.name])
+    if array.dtype != dtype or array.ndim != 1:
+        raise LodrecError(f"{path}: a {array.ndim}-D {array.dtype} array, "
+                          f"not a 1-D {dtype} one")
+    return array
+
+
+def load_ddc_vectors(directory, data: dict[str, bytes], rows: int):
+    """Parse ``data``, the bytes of the ``DDC_VECTORS_FILES`` in
+    ``directory`` by name, as the CSR ``(offsets, dims, weights)``."""
+    # A refusal names the file, and the row (from 1) at fault.
+    paths = [Path(directory) / name for name in DDC_VECTORS_FILES]
+    offsets, dims, weights = (_parse_npy(p, data[p.name]) for p in paths)
+    steps = np.diff(offsets)
+    if not (len(offsets) == rows + 1 and offsets[0] == 0 and
+            (steps >= 0).all() and offsets[-1] == len(dims) == len(weights)):
+        raise LodrecError(f"{paths[0]}: not {rows + 1} offsets (one per "
+                          f"video, and the end) rising from 0 to the "
+                          f"{len(dims)} dimensions and {len(weights)} weights")
+    # A row's first dimension must exceed -1, and every other one the one
+    # before it.
+    floor = np.concatenate([[-1], dims[:-1]])[:len(dims)]
+    floor[offsets[:-1][steps > 0]] = -1
+    for path, values, bad, what in (
+            (paths[2], weights, ~np.isfinite(weights), "non-finite weight"),
+            (paths[1], dims, dims <= floor, "dimension negative, or not "
+             "above the one before it in its row:")):
+        if bad.any():
+            i = np.argmax(bad)
+            row = np.searchsorted(offsets, i, side="right")
+            raise LodrecError(f"{path}: row {row}: {what} {values[i]}")
+    return offsets, dims, weights
 
 
 __all__ = [
     "DdcVector", "FragmentVocabulary",
     "build_vocabulary", "fragment_counts", "vectorize", "save_vocabulary",
-    "save_ddc_vectors", "load_ddc_vectors",
+    "save_ddc_vectors", "load_ddc_vectors", "DDC_VECTORS_FILES",
 ]

@@ -12,6 +12,7 @@ given corpus.
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 import unicodedata
@@ -277,15 +278,15 @@ def save_doc_vectors(vectors: list[DocVector], path) -> None:
             f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n")
 
 
-def load_doc_vectors(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Read the cache as ``(ids, tokens_used, vectors)``: the ids in file
-    order, an (N,) int array and the (N, D) matrix, which one numpy call
-    parses."""
+def load_doc_vectors(path, data) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse ``data``, the bytes the caller read of the cache at ``path``,
+    as ``(ids, tokens_used, vectors)``: the ids in file order, an (N,)
+    int array and the (N, D) matrix, which one numpy call parses."""
     ids: list[str] = []
     used: list[int] = []
     line_nos: list[int] = []
     cells: list[str] = []
-    with open(path, encoding="utf-8") as f:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -10,7 +10,9 @@ one in its subject is not a triple, and is refused with the line
 quoted.  An IRI with any other escape, with an escape of no character
 (a surrogate, or above U+10FFFF), or that decodes to a character no IRI
 may hold (a code point up to U+0020, or one of ``<>"{}|^`\\``) is
-refused naming the line.  Predicate IRIs are decoded the same way.
+refused naming the line.  Predicate IRIs are decoded the same way.  A
+literal's ``\\uXXXX`` and ``\\UXXXXXXXX`` escapes take exactly 4 or 8 hex
+digits, and one that names no character is refused as in an IRI.
 Recognized predicates (object must be a literal):
 
     http://purl.org/dc/terms/title          -> title
@@ -68,6 +70,18 @@ _ESCAPES = {
 # A backslash and what it escapes: up to the 4 or 8 characters a \u or
 # \U escape takes, else any one character, else nothing (at the end).
 _ESCAPE_RE = re.compile(r"\\(?:u(.{0,4})|U(.{0,8})|(.))?", re.DOTALL)
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+
+
+def _escaped_char(hexpart: str, path, line_no: int, where: str) -> str:
+    """The character that the HEX digits of a \\u or \\U escape in
+    ``where`` name; a surrogate, or a code point above U+10FFFF, is no
+    character, and UTF-8 cannot encode it."""
+    code = int(hexpart, 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise ParseError(path, line_no, f"{where} escapes "
+                         f"U+{hexpart.upper()}, which is no character")
+    return chr(code)
 
 
 def _unescape(lit: str, path, line_no: int) -> str:
@@ -85,11 +99,10 @@ def _unescape(lit: str, path, line_no: int) -> str:
         esc, width, hexpart = ("u", 4, u4) if u8 is None else ("U", 8, u8)
         if len(hexpart) != width:
             raise ParseError(path, line_no, f"truncated \\{esc} escape")
-        try:
-            return chr(int(hexpart, 16))
-        except ValueError:
+        if not _HEX_RE.fullmatch(hexpart):
             raise ParseError(path, line_no,
-                             f"invalid \\{esc} escape: {hexpart!r}") from None
+                             f"invalid \\{esc} escape: {hexpart!r}")
+        return _escaped_char(hexpart, path, line_no, "literal")
 
     return _ESCAPE_RE.sub(replace, lit)
 
@@ -110,11 +123,7 @@ def _decode_iri(iri: str, path, line_no: int) -> str:
         if hexpart is None:
             raise ParseError(path, line_no, f"IRI <{iri}> has an escape "
                              "other than \\uXXXX or \\UXXXXXXXX")
-        code = int(hexpart, 16)
-        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            raise ParseError(path, line_no, f"IRI <{iri}> escapes "
-                             f"U+{hexpart.upper()}, which is no character")
-        return chr(code)
+        return _escaped_char(hexpart, path, line_no, f"IRI <{iri}>")
 
     decoded = _IRI_ESCAPE_RE.sub(replace, iri)
     bad = _IRI_EXCLUDED_RE.search(decoded)

@@ -3,16 +3,17 @@
 The config is a plain ``key = value`` text file (``#`` comments allowed);
 relative paths are resolved against the config file's directory so a
 committed config keeps working from any working directory.  An index is
-four artifacts in ``index_dir`` and the manifest ``index`` writes last:
+six artifacts in ``index_dir`` and the manifest ``index`` writes last:
 
     corpus.jsonl     normalized corpus (written by ingest)
     vocabulary.tsv   fragment per line, ``level<TAB>prefix``
-    ddc_vectors.tsv  sparse tf-idf rows
+    ddc_*.npy        sparse tf-idf rows as CSR: offsets, dims, weights
     doc_vectors.tsv  mean word-vector cache
-    manifest.json    blake2b digest of each file above
+    manifest.json    SHA-256 digest of each file above
 
 Artifact writes are deterministic: identical inputs give byte-identical
-files.  ``load_index`` refuses any file the manifest does not vouch for.
+files.  ``load_index`` parses only bytes it read once and hashed, and
+refuses any file the manifest does not vouch for.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import ddc
 from .authority import load_snapshot, enrich
 from .corpus import Corpus, load_corpus, save_corpus
 from .ddc_vectors import (
+    DDC_VECTORS_FILES,
     build_vocabulary,
     fragment_counts,
     load_ddc_vectors,
@@ -52,10 +54,10 @@ from .errors import LodrecError
 
 CORPUS_FILE = "corpus.jsonl"
 VOCABULARY_FILE = "vocabulary.tsv"
-DDC_VECTORS_FILE = "ddc_vectors.tsv"
 DOC_VECTORS_FILE = "doc_vectors.tsv"
 MANIFEST_FILE = "manifest.json"
-ARTIFACTS = (CORPUS_FILE, VOCABULARY_FILE, DDC_VECTORS_FILE, DOC_VECTORS_FILE)
+ARTIFACTS = (CORPUS_FILE, VOCABULARY_FILE, *DDC_VECTORS_FILES,
+             DOC_VECTORS_FILE)
 
 
 class ConfigError(LodrecError):
@@ -200,13 +202,8 @@ def _load_normalized_corpus(config: PipelineConfig) -> Corpus:
                        language_filter=config.language)
 
 
-def _digest(path: Path) -> str:
-    """blake2b of the file's bytes, read in 1 MiB blocks."""
-    digest = hashlib.blake2b()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_index(config: PipelineConfig) -> dict:
@@ -240,12 +237,13 @@ def run_index(config: PipelineConfig) -> dict:
 
     config.index_dir.mkdir(parents=True, exist_ok=True)
     save_vocabulary(vocab, config.index_dir / VOCABULARY_FILE)
-    save_ddc_vectors(ddc_vectors, config.index_dir / DDC_VECTORS_FILE)
+    save_ddc_vectors(ddc_vectors, config.index_dir)
     save_doc_vectors(doc_vectors, config.index_dir / DOC_VECTORS_FILE)
     # Written last: until it is, a rebuild's files do not match the old
     # manifest, so a build that stops halfway cannot be loaded.
     manifest = json.dumps(
-        {name: _digest(config.index_dir / name) for name in ARTIFACTS},
+        {name: _digest((config.index_dir / name).read_bytes())
+         for name in ARTIFACTS},
         indent=2) + "\n"
     (config.index_dir / MANIFEST_FILE).write_text(manifest, encoding="utf-8")
 
@@ -254,8 +252,7 @@ def run_index(config: PipelineConfig) -> dict:
     return {
         "videos": len(corpus),
         "vocabulary_size": len(vocab),
-        "fingerprint": hashlib.blake2b(manifest.encode("utf-8"),
-                                       digest_size=8).hexdigest(),
+        "fingerprint": _digest(manifest.encode("utf-8"))[:16],
         "resolved_tags": resolved,
         "unresolved_tags": unresolved,
         "videos_without_codes": sum(1 for v in ddc_vectors if not v.weights),
@@ -266,8 +263,8 @@ def run_index(config: PipelineConfig) -> dict:
     }
 
 
-def _check_manifest(index_dir: Path) -> None:
-    """Refuse an index whose files are not the ones its manifest lists."""
+def _read_vouched(index_dir: Path) -> dict[str, bytes]:
+    """Each artifact's bytes, read once and checked against the manifest."""
     path = index_dir / MANIFEST_FILE
     if not path.exists():
         raise LodrecError(f"{path}: index manifest not found; run index")
@@ -282,38 +279,38 @@ def _check_manifest(index_dir: Path) -> None:
         f"unknown file {n}" for n in digests if n not in ARTIFACTS]
     if wrong:
         raise LodrecError(f"{path}: {', '.join(wrong)}; run index again")
+    data = {}
     for name in ARTIFACTS:
         artifact = index_dir / name
-        if not artifact.exists():
+        try:
+            data[name] = artifact.read_bytes()
+        except FileNotFoundError:
             raise LodrecError(f"{artifact}: index artifact missing; "
-                              "run index again")
-        if _digest(artifact) != digests[name]:
+                              "run index again") from None
+        if _digest(data[name]) != digests[name]:
             why = ("ingest ran again after the last index"
                    if name == CORPUS_FILE else "the file changed after the "
                    "build, or the build did not finish")
             raise LodrecError(f"{artifact}: differs from its digest in "
                               f"{MANIFEST_FILE}: {why}; run index again")
+    return data
 
 
 def load_index(config: PipelineConfig) -> CorpusIndex:
-    """Load the index that ``run_index`` wrote, once its manifest vouches
-    for every file; the ids come, in order, from the doc vectors, and
-    the fragment rows must list the same ids in the same order."""
-    _check_manifest(config.index_dir)
-    ddc_path = config.index_dir / DDC_VECTORS_FILE
-    code_ids, code_ptr, code_dims, code_weights = load_ddc_vectors(ddc_path)
+    """Load the index that ``run_index`` wrote, from the bytes its manifest
+    vouches for; the ids come, in order, from the doc vectors, and the
+    fragment rows must be as many."""
+    data = _read_vouched(config.index_dir)
     ids, tokens_used, text = load_doc_vectors(
-        config.index_dir / DOC_VECTORS_FILE)
-    if code_ids != ids:
-        raise LodrecError(f"{ddc_path}: its rows are not the videos of "
-                          f"{DOC_VECTORS_FILE} in the same order; "
-                          "run index again")
+        config.index_dir / DOC_VECTORS_FILE, data[DOC_VECTORS_FILE])
+    code_ptr, code_dims, code_weights = load_ddc_vectors(
+        config.index_dir, data, len(ids))
     return CorpusIndex(ids, text, tokens_used, code_ptr, code_dims,
                        code_weights, weights=config.weights)
 
 
 __all__ = [
-    "ARTIFACTS", "CORPUS_FILE", "DDC_VECTORS_FILE", "DOC_VECTORS_FILE",
+    "ARTIFACTS", "CORPUS_FILE", "DOC_VECTORS_FILE",
     "MANIFEST_FILE", "VOCABULARY_FILE",
     "ConfigError", "PipelineConfig",
     "load_config", "load_index", "override_config", "run_index", "run_ingest",

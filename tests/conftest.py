@@ -24,9 +24,11 @@ from lodrec.authority import EnrichedVideo, ResolvedTag
 from lodrec.corpus import Tag, VideoRecord
 from lodrec.ddc import fragment_code, parse_code
 from lodrec.ddc_vectors import (
+    DDC_VECTORS_FILES,
     DdcVector,
     FragmentVocabulary,
     build_vocabulary,
+    load_ddc_vectors,
     vectorize,
 )
 from lodrec.embeddings import DocVector, EmbeddingTable, embed_video
@@ -62,6 +64,13 @@ def toy_run(tmp_path):
     run_dir = tmp_path / "toy"
     shutil.copytree(TOY, run_dir)
     return run_dir
+
+
+def read_csr(directory: Path, rows: int):
+    """``load_ddc_vectors`` on the fragment files in ``directory``."""
+    return load_ddc_vectors(directory, {
+        name: (directory / name).read_bytes() for name in DDC_VECTORS_FILES},
+        rows)
 
 
 def write_toy_config(tmp_path: Path, **overrides) -> Path:

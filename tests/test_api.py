@@ -85,3 +85,57 @@ def test_package_starts_no_thread_or_process():
     """Every module runs in its caller's one thread and process."""
     for path in sorted((REPO / "src" / "lodrec").glob("*.py")):
         assert process_starts(path) == [], path.name
+
+
+# The modules that unpickle, which can run code that a file names.
+PICKLE = {"pickle", "_pickle", "shelve"}
+
+
+def unsafe_loads(source: str) -> list[str]:
+    """The pickle modules that ``source`` imports, and each ``np.load``
+    call in it that does not pass ``allow_pickle=False``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] in PICKLE]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in PICKLE:
+                found.append(node.module)
+            elif node.module == "numpy":
+                found += [f"numpy.{alias.name}" for alias in node.names
+                          if alias.name == "load"]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "load"
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("np", "numpy")
+              and not any(k.arg == "allow_pickle"
+                          and isinstance(k.value, ast.Constant)
+                          and k.value.value is False
+                          for k in node.keywords)):
+            found.append(f"{ast.unparse(node)} on line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("source,found", [
+    ("np.load(f, allow_pickle=False)", []),
+    ("np.load(f)", ["np.load(f) on line 1"]),
+    ("numpy.load(f, allow_pickle=True)",
+     ["numpy.load(f, allow_pickle=True) on line 1"]),
+    ("np.load(f, allow_pickle=flag)",
+     ["np.load(f, allow_pickle=flag) on line 1"]),
+    ("from numpy import load", ["numpy.load"]),
+    ("import pickle", ["pickle"]),
+    ("from _pickle import loads", ["_pickle"]),
+    ("json.load(f)", []),
+])
+def test_unsafe_loads_finds_what_it_is_meant_to(source, found):
+    assert unsafe_loads(source) == found
+
+
+def test_package_unpickles_nothing():
+    """Every array the package reads is a plain array: no file it loads
+    can make it run code."""
+    for path in sorted((REPO / "src" / "lodrec").glob("*.py")):
+        assert unsafe_loads(path.read_text(encoding="utf-8")) == [], path.name

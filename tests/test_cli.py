@@ -71,6 +71,29 @@ class TestIngest:
         assert json.loads(out)["retained"] == 0
         assert "retained no records" in err
 
+    @pytest.mark.parametrize("corpus_format,name,line", [
+        ("jsonl", "corpus.jsonl", 2), ("ntriples", "corpus.nt", 13)])
+    def test_lone_surrogate_in_a_title_is_refused(self, capsys, tmp_path,
+                                                  corpus_format, name, line):
+        # The corpus.jsonl that the failed ingest left was 0 bytes long,
+        # and `index` built a 0-video index from it and exited 0.
+        lines = (TOY / name).read_text(encoding="utf-8").splitlines()
+        title = "Datenbanken und SQL"
+        assert title in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(title, "a\\uD800b")
+        corpus = tmp_path / name
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = str(write_toy_config(tmp_path, corpus_path=str(corpus),
+                                      corpus_format=corpus_format))
+        code, out, err = run_cli(capsys, "ingest", "--config", config)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"error: {corpus}:{line}: ")
+        assert "U+D800" in err
+        assert not (tmp_path / "index" / "corpus.jsonl").exists()
+        code, _, err = run_cli(capsys, "index", "--config", config)
+        assert code == EXIT_DATA
+        assert "run ingest first" in err
+
 
 class TestIndex:
     def test_summary_and_unresolved_warning(self, capsys, toy_config):
@@ -477,7 +500,7 @@ class TestExitCodes:
             line + pad + "\n" for line in doc_vectors.read_text(
                 encoding="utf-8").splitlines()), encoding="utf-8")
         manifest = json.loads((index_dir / MANIFEST_FILE).read_text())
-        manifest[DOC_VECTORS_FILE] = hashlib.blake2b(
+        manifest[DOC_VECTORS_FILE] = hashlib.sha256(
             doc_vectors.read_bytes()).hexdigest()
         (index_dir / MANIFEST_FILE).write_text(json.dumps(manifest))
         for argv in (["recommend", "--config", indexed_config, "v001"],

@@ -136,6 +136,37 @@ class TestValidation:
                 "line break")):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field,value,name,code", [
+        ("id", "v\ud800", "id", "D800"),
+        ("title", "a\ud800b", "title", "D800"),
+        ("abstract", "\udfff", "abstract", "DFFF"),
+        ("surface", "Mathe\udc00", "tag surface", "DC00"),
+        ("gnd_id", "gnd:\ud834", "tag gnd_id", "D834"),
+    ])
+    def test_lone_surrogate_names_file_line_and_field(self, tmp_path, field,
+                                                      value, name, code):
+        # json.loads decodes the escape of a lone surrogate; save_corpus
+        # then failed with a message that named no file.
+        obj = record_obj()
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["tags"][0][field] = value
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record_obj("v0")) + "\n"
+                        + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=(
+                rf"c\.jsonl:2: {name} holds the lone surrogate U\+{code}, "
+                "which UTF-8 cannot encode")):
+            load_corpus(path)
+
+    def test_escaped_surrogate_pair_is_one_character(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record_obj(title="\U0001f3ac clip")),
+                        encoding="utf-8")
+        assert "\\ud83c\\udfac" in path.read_text(encoding="utf-8")
+        assert load_corpus(path).records[0].title == "\U0001f3ac clip"
+
     def test_tag_surfaces_trimmed_case_preserved(self, tmp_path):
         obj = record_obj(tags=[{"surface": "  Lineare Algebra ",
                                 "provenance": "ocr"}])

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import math
+import pickle
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +15,8 @@ import pytest
 from lodrec import combined_similarity, ddc_vectors, enrich
 from lodrec.ddc import MODES, Fragment
 from lodrec.ddc_vectors import (
+    DDC_VECTORS_FILES,
+    DdcVector,
     build_vocabulary,
     fragment_counts,
     load_ddc_vectors,
@@ -20,7 +25,7 @@ from lodrec.ddc_vectors import (
     vectorize,
 )
 from lodrec.embeddings import DocVector
-from lodrec.errors import ParseError
+from lodrec.errors import LodrecError
 
 from conftest import (
     Vectors,
@@ -29,8 +34,10 @@ from conftest import (
     kernel_cosines,
     make_enriched,
     random_code,
+    read_csr,
 )
 
+DDC_OFFSETS_FILE, DDC_DIMS_FILE, DDC_WEIGHTS_FILE = DDC_VECTORS_FILES
 WORKED_EXAMPLE = ["5@1", "51@2", "57@2", "513@3", "574@3", "5133@4"]
 
 
@@ -355,39 +362,139 @@ class TestSerialization:
     def test_vector_round_trip_is_exact(self, tmp_path, toy_enriched):
         vocab = build_vocabulary(toy_enriched)
         vectors = [vectorize(e, vocab) for e in toy_enriched]
-        out = tmp_path / "vectors.tsv"
-        save_ddc_vectors(vectors, out)
-        ids, ptr, dims, weights = load_ddc_vectors(out)
-        assert ids == [v.video_id for v in vectors]
+        save_ddc_vectors(vectors, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(DDC_VECTORS_FILES)
+        ptr, dims, weights = read_csr(tmp_path, len(vectors))
+        assert (ptr.dtype, dims.dtype, weights.dtype) == \
+            (np.intp, np.intp, np.float64)
         assert [list(zip(dims[a:b].tolist(), weights[a:b].tolist()))
                 for a, b in zip(ptr, ptr[1:])] == \
             [sorted(v.weights.items()) for v in vectors]
 
-    def test_bad_weight_cell_names_line(self, tmp_path):
-        out = tmp_path / "vectors.tsv"
-        out.write_text("v0\t0:1.0\nv1\t0:x\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r":2:"):
-            load_ddc_vectors(out)
+    def test_rows_without_codes_round_trip(self, tmp_path):
+        save_ddc_vectors([DdcVector("a", {}), DdcVector("b", {2: 0.5}),
+                          DdcVector("c", {})], tmp_path)
+        ptr, dims, weights = read_csr(tmp_path, 3)
+        assert ptr.tolist() == [0, 0, 1, 1]
+        assert (dims.tolist(), weights.tolist()) == ([2], [0.5])
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
-    def test_non_finite_weight_names_line(self, tmp_path, weight):
-        out = tmp_path / "vectors.tsv"
-        out.write_text(f"v1\t0:1.0\nv2\t0:1.0,3:{weight}\n",
-                       encoding="utf-8")
-        with pytest.raises(ParseError, match=r"vectors\.tsv:2: non-finite"):
-            load_ddc_vectors(out)
+    def test_data_is_parsed_in_place_of_the_files(self, tmp_path):
+        save_ddc_vectors([DdcVector("a", {1: 0.5})], tmp_path)
+        other = tmp_path / "other"
+        other.mkdir()
+        save_ddc_vectors([DdcVector("b", {3: 2.0})], other)
+        data = {n: (other / n).read_bytes() for n in DDC_VECTORS_FILES}
+        _, dims, weights = load_ddc_vectors(tmp_path, data, 1)
+        assert (dims.tolist(), weights.tolist()) == ([3], [2.0])
 
-    @pytest.mark.parametrize("cells", [
-        "3:0.5,3:0.7,1:0.2",  # a repeated dimension, then a descending one
-        "3:0.5,1:0.2", "-1:0.5"])
-    def test_dimension_out_of_order_names_line(self, tmp_path, cells):
-        # "3:0.5,3:0.7,1:0.2" once loaded as {3: 0.7, 1: 0.2}: the first
-        # weight was dropped without a word.
-        out = tmp_path / "vectors.tsv"
-        out.write_text(f"v0\t0:1.0,2:0.5\n\nv1\t{cells}\n",
-                       encoding="utf-8")
-        with pytest.raises(ParseError, match=(
-                r"vectors\.tsv:3: dimension out of order in '[-\d]+:[\d.]+'"
-                ": a row's dimensions must be non-negative and strictly "
-                "ascending")):
-            load_ddc_vectors(out)
+
+def save_csr(directory, ptr, dims, weights, **replaced):
+    """The three fragment files, with any of them given as raw bytes or
+    as another array by file name."""
+    arrays = dict(zip(DDC_VECTORS_FILES, (
+        np.array(ptr, dtype=np.int64), np.array(dims, dtype=np.int64),
+        np.array(weights, dtype=np.float64))))
+    for name, value in {**arrays, **replaced}.items():
+        path = directory / name
+        if isinstance(value, bytes):
+            path.write_bytes(value)
+        else:
+            np.save(path, value, allow_pickle=False)
+
+
+def npy_bytes(array, allow_pickle=False) -> bytes:
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
+
+
+# Two videos: the first with codes 0 and 2, the second with code 1.
+PTR, DIMS, WEIGHTS = [0, 2, 3], [0, 2, 1], [1.0, 0.5, 0.25]
+
+
+class TestFragmentFileRefusals:
+    """``load_ddc_vectors`` refuses, naming the file and, where one row is
+    at fault, the row (counted from 1)."""
+
+    def refused(self, tmp_path, match, **replaced):
+        save_csr(tmp_path, PTR, DIMS, WEIGHTS, **replaced)
+        with pytest.raises(LodrecError, match=match):
+            read_csr(tmp_path, len(PTR) - 1)
+
+    def test_the_unaltered_files_load(self, tmp_path):
+        save_csr(tmp_path, PTR, DIMS, WEIGHTS)
+        assert [a.tolist() for a in read_csr(tmp_path, 2)] == \
+            [PTR, DIMS, WEIGHTS]
+
+    @pytest.mark.parametrize("data", [
+        b"", b"0\t1.0\n", npy_bytes(np.array(DIMS))[:-4],
+        npy_bytes(np.array(DIMS)) + b"\0",
+        pickle.dumps(np.array(DIMS)),
+        npy_bytes(np.array(DIMS, dtype=object), allow_pickle=True),
+    ], ids=["empty", "text", "truncated", "trailing-byte", "pickle",
+            "object-array"])
+    def test_not_a_plain_npy(self, tmp_path, data):
+        self.refused(tmp_path, r"ddc_dims\.npy: not a plain \.npy array \(",
+                     **{DDC_DIMS_FILE: data})
+
+    def test_npz(self, tmp_path):
+        out = io.BytesIO()
+        np.savez(out, dims=np.array(DIMS))
+        self.refused(tmp_path, r"ddc_dims\.npy: not a plain \.npy array "
+                     r"\(no \.npy magic string\)",
+                     **{DDC_DIMS_FILE: out.getvalue()})
+
+    @pytest.mark.parametrize("name,array,got", [
+        (DDC_DIMS_FILE, np.array(DIMS, dtype=np.int32), "1-D int32"),
+        (DDC_WEIGHTS_FILE, np.array(WEIGHTS, dtype=np.float32),
+         "1-D float32"),
+        (DDC_WEIGHTS_FILE, np.array(DIMS), "1-D int64"),
+        (DDC_OFFSETS_FILE, np.array(PTR, dtype=">i8"), "1-D >i8"),
+        (DDC_OFFSETS_FILE, np.array([PTR]), "2-D int64"),
+        (DDC_DIMS_FILE, np.int64(3), "0-D int64"),
+    ], ids=["int32-dims", "float32-weights", "int-weights",
+            "big-endian-offsets", "2-D-offsets", "0-D-dims"])
+    def test_wrong_dtype_or_shape(self, tmp_path, name, array, got):
+        self.refused(tmp_path, rf"{re.escape(name)}: a {re.escape(got)} "
+                     "array, not a 1-D (int64|float64) one",
+                     **{name: array})
+
+    @pytest.mark.parametrize("ptr", [
+        [], [0, 2], [0, 2, 3, 3], [1, 2, 3], [0, 4, 3], [0, 2, 4]],
+        ids=["empty", "too-few", "too-many", "not-from-0", "decreasing",
+             "past-the-end"])
+    def test_offsets(self, tmp_path, ptr):
+        self.refused(tmp_path, r"ddc_offsets\.npy: not 3 offsets \(one per "
+                     r"video, and the end\) rising from 0 to the 3 "
+                     r"dimensions and 3 weights$",
+                     **{DDC_OFFSETS_FILE: np.array(ptr, dtype=np.int64)})
+
+    def test_weights_not_as_many_as_dims(self, tmp_path):
+        self.refused(tmp_path, r"ddc_offsets\.npy: not 3 offsets .* to the "
+                     r"3 dimensions and 2 weights$",
+                     **{DDC_WEIGHTS_FILE: np.array(WEIGHTS[:2])})
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, tmp_path, weight):
+        # One inf weight in a row made every score of its video NaN.
+        self.refused(tmp_path, rf"ddc_weights\.npy: row 2: non-finite "
+                     rf"weight {re.escape(str(weight))}$",
+                     **{DDC_WEIGHTS_FILE: np.array([1.0, 0.5, weight])})
+
+    @pytest.mark.parametrize("dims,row,dim", [
+        ([0, 2, -1], 2, -1), ([-3, 2, 1], 1, -3),
+        ([2, 2, 1], 1, 2),  # repeats
+        ([2, 0, 1], 1, 0),  # descends
+    ], ids=["negative", "negative-first", "repeats", "descends"])
+    def test_dimension_out_of_order(self, tmp_path, dims, row, dim):
+        # A repeated dimension once loaded as one: its first weight was
+        # dropped without a word.
+        self.refused(tmp_path, rf"ddc_dims\.npy: row {row}: dimension "
+                     r"negative, or not above the one before it in its "
+                     rf"row: {dim}$", **{DDC_DIMS_FILE: np.array(dims)})
+
+    def test_a_row_may_start_below_the_last_of_the_row_before(self,
+                                                              tmp_path):
+        save_csr(tmp_path, [0, 2, 2, 4], [3, 5, 0, 1], [1.0] * 4)
+        assert read_csr(tmp_path, 3)[1].tolist() == [3, 5, 0, 1]

@@ -653,7 +653,7 @@ class TestDocVectorCache:
             for _ in range(4)]
         out = tmp_path / "docs.tsv"
         save_doc_vectors(docs, out)
-        ids, tokens_used, vectors = load_doc_vectors(out)
+        ids, tokens_used, vectors = load_doc_vectors(out, out.read_bytes())
         assert ids == [d.video_id for d in docs]
         assert tokens_used.tolist() == [d.tokens_used for d in docs]
         assert np.array_equal(vectors, np.stack([d.vector for d in docs]))
@@ -663,7 +663,7 @@ class TestDocVectorCache:
         out.write_text("v1\t1\t0\t1.0,2.0\nv2\tx\t0\t1.0,2.0\n",
                        encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
-            load_doc_vectors(out)
+            load_doc_vectors(out, out.read_bytes())
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(59)
@@ -675,7 +675,7 @@ class TestDocVectorCache:
                 for r, row in enumerate(values)]
         out = tmp_path / "docs.tsv"
         save_doc_vectors(docs, out)
-        ids, _, got = load_doc_vectors(out)
+        ids, _, got = load_doc_vectors(out, out.read_bytes())
         assert ids == [d.video_id for d in docs]
         assert np.array_equal(got.view(np.int64), values.view(np.int64))
 
@@ -703,18 +703,18 @@ class TestDocVectorCache:
         out.write_text(f"v1\t1\t0\t1.0,2.0\n\nv2\t1\t0\t{cell},2.0\n",
                        encoding="utf-8")
         with pytest.raises(ParseError, match=r"docs\.tsv:3: non-finite"):
-            load_doc_vectors(out)
+            load_doc_vectors(out, out.read_bytes())
 
     def test_non_numeric_component_names_line(self, tmp_path):
         out = tmp_path / "docs.tsv"
         out.write_text("v1\t1\t0\t1.0,2.0\nv2\t1\t0\t1.0,x\n",
                        encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
-            load_doc_vectors(out)
+            load_doc_vectors(out, out.read_bytes())
 
     def test_dimension_change_names_line(self, tmp_path):
         out = tmp_path / "docs.tsv"
         out.write_text("v1\t1\t0\t1.0,2.0\nv2\t1\t0\t1.0\n",
                        encoding="utf-8")
         with pytest.raises(ParseError, match=r":2: expected 2 components"):
-            load_doc_vectors(out)
+            load_doc_vectors(out, out.read_bytes())

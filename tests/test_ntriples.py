@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import string
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -175,11 +176,14 @@ def reference_unescape(lit: str, path, line_no: int) -> str:
             hexpart = lit[i + 2:i + 2 + width]
             if len(hexpart) != width:
                 raise ParseError(path, line_no, f"truncated \\{esc} escape")
-            try:
-                out.append(chr(int(hexpart, 16)))
-            except ValueError:
+            if not all(h in string.hexdigits for h in hexpart):
                 raise ParseError(path, line_no,
-                                 f"invalid \\{esc} escape: {hexpart!r}") from None
+                                 f"invalid \\{esc} escape: {hexpart!r}")
+            code = int(hexpart, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ParseError(path, line_no, f"literal escapes "
+                                 f"U+{hexpart.upper()}, which is no character")
+            out.append(chr(code))
             i += 2 + width
         else:
             raise ParseError(path, line_no, f"unknown escape \\{esc}")
@@ -201,7 +205,7 @@ class TestEscapeProperties:
         assert read_ntriples(write_nt(tmp_path, lines))[0].title == text
 
     @settings(max_examples=300, deadline=None)
-    @given(lit=st.text(st.sampled_from("\\uU0aF9+-_ x\"tn\n") | TEXT_CHARS,
+    @given(lit=st.text(st.sampled_from("\\uU0aF9dD8+-_ x\"tn\n") | TEXT_CHARS,
                        max_size=24))
     def test_same_output_and_errors_as_per_character_decoder(self, lit):
         try:
@@ -218,7 +222,13 @@ class TestEscapeProperties:
         ("\\u12", "truncated \\\\u escape"),
         ("\\U0001F3A", "truncated \\\\U escape"),
         ("\\u12g4", "invalid \\\\u escape: '12g4'"),
-        ("\\U00110000", "invalid \\\\U escape: '00110000'"),
+        ("\\U00110000", r"literal escapes U\+00110000, which is no character"),
+        ("\\uD800", r"literal escapes U\+D800, which is no character"),
+        ("\\udfff", r"literal escapes U\+DFFF, which is no character"),
+        ("\\u+041", "invalid \\\\u escape: '\\+041'"),
+        ("\\u 41 ", "invalid \\\\u escape: ' 41 '"),
+        ("\\u0_41", "invalid \\\\u escape: '0_41'"),
+        ("\\U-0000041", "invalid \\\\U escape: '-0000041'"),
         ("\\x41", "unknown escape \\\\x"),
     ])
     def test_error_messages(self, lit, message):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -22,12 +24,11 @@ from lodrec import (
     run_ingest,
 )
 from lodrec import embeddings, pipeline
-from lodrec.ddc_vectors import load_ddc_vectors
+from lodrec.ddc_vectors import DDC_VECTORS_FILES
 from lodrec.engine import MAX_TEXT_DIM
 from lodrec.pipeline import (
     ARTIFACTS,
     CORPUS_FILE,
-    DDC_VECTORS_FILE,
     DOC_VECTORS_FILE,
     MANIFEST_FILE,
     VOCABULARY_FILE,
@@ -36,16 +37,37 @@ from lodrec.pipeline import (
 from conftest import (
     REPO,
     TOY,
+    read_csr,
     wide_toy_table,
     write_toy_config as write_config,
 )
 
 
+DDC_OFFSETS_FILE, DDC_DIMS_FILE, DDC_WEIGHTS_FILE = DDC_VECTORS_FILES
 WEIGHTS = "weights must be finite and non-negative with positive sum"
 
 
 def md5(path: Path) -> str:
     return hashlib.md5(path.read_bytes()).hexdigest()
+
+
+def save_rows(index_dir: Path, rows) -> None:
+    """Write ``(dims, weights)`` rows as the fragment files."""
+    ptr = np.cumsum([0] + [len(d) for d, _ in rows])
+    for name, array in zip(DDC_VECTORS_FILES, (
+            ptr, np.concatenate([d for d, _ in rows]),
+            np.concatenate([w for _, w in rows]))):
+        np.save(index_dir / name, array)
+
+
+def vouch_for(index_dir: Path, *names: str) -> None:
+    """Make the manifest list the current digests of ``names``."""
+    manifest = index_dir / MANIFEST_FILE
+    digests = json.loads(manifest.read_text())
+    for name in names:
+        digests[name] = hashlib.sha256(
+            (index_dir / name).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(digests))
 
 
 class TestLoadConfig:
@@ -223,11 +245,11 @@ class TestIngestAndIndex:
         summary = run_index(config)
         manifest = (config.index_dir / MANIFEST_FILE).read_bytes()
         assert json.loads(manifest) == {
-            name: hashlib.blake2b(
+            name: hashlib.sha256(
                 (config.index_dir / name).read_bytes()).hexdigest()
             for name in ARTIFACTS}
         assert summary["fingerprint"] == \
-            hashlib.blake2b(manifest, digest_size=8).hexdigest()
+            hashlib.sha256(manifest).hexdigest()[:16]
 
     def test_index_dir_holds_the_readme_artifacts(self, config):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -420,11 +442,24 @@ class TestLoadIndex:
     def test_manifest_lacking_an_artifact(self, built):
         path = built.index_dir / MANIFEST_FILE
         digests = json.loads(path.read_text())
-        del digests[DDC_VECTORS_FILE]
-        digests["notes.txt"] = "0" * 128
+        del digests[DDC_DIMS_FILE]
+        digests["notes.txt"] = "0" * 64
         path.write_text(json.dumps(digests))
         with pytest.raises(LodrecError, match=r"manifest\.json: no digest of "
-                           r"ddc_vectors\.tsv, unknown file notes\.txt"):
+                           r"ddc_dims\.npy, unknown file notes\.txt"):
+            load_index(built)
+
+    def test_index_with_the_former_text_fragment_file_refused(self, built):
+        path = built.index_dir / MANIFEST_FILE
+        digests = json.loads(path.read_text())
+        for name in DDC_VECTORS_FILES:
+            del digests[name]
+        digests["ddc_vectors.tsv"] = "0" * 128  # a blake2b digest
+        path.write_text(json.dumps(digests))
+        with pytest.raises(LodrecError, match=(
+                r"manifest\.json: no digest of ddc_offsets\.npy, no digest "
+                r"of ddc_dims\.npy, no digest of ddc_weights\.npy, unknown "
+                r"file ddc_vectors\.tsv; run index again$")):
             load_index(built)
 
     def test_tampered_vocabulary_detected(self, built):
@@ -453,33 +488,32 @@ class TestLoadIndex:
             load_index(config)
 
     def test_vector_rows_out_of_order_rejected(self, built):
-        path = built.index_dir / DDC_VECTORS_FILE
-        first, second, *rest = path.read_text().splitlines()
-        path.write_text("\n".join([second, first, *rest]) + "\n")
-        with pytest.raises(LodrecError, match=r"ddc_vectors\.tsv: differs "
-                           r"from its digest in manifest\.json"):
+        ptr, dims, weights = read_csr(built.index_dir, 8)
+        rows = [(dims[a:b], weights[a:b]) for a, b in zip(ptr, ptr[1:])]
+        save_rows(built.index_dir, [rows[1], rows[0], *rows[2:]])
+        with pytest.raises(LodrecError, match=r"ddc_(offsets|dims)\.npy: "
+                           r"differs from its digest in manifest\.json"):
             load_index(built)
 
     @pytest.mark.parametrize("edit", [
-        lambda rows: [rows[1], rows[0], *rows[2:]],  # two rows swapped
         lambda rows: rows[1:],  # v001's row dropped
-        lambda rows: ["vXXX" + rows[0][4:], *rows[1:]],  # a foreign id
-    ], ids=["swapped", "dropped", "foreign"])
-    def test_fragment_rows_not_the_doc_vector_ids_rejected(self, built,
-                                                           edit):
-        # The rows were matched by id, and a row that matched no video
-        # was ignored.  Here the manifest vouches for the edited file.
-        path = built.index_dir / DDC_VECTORS_FILE
-        path.write_text("\n".join(edit(path.read_text().splitlines()))
-                        + "\n")
-        manifest = built.index_dir / MANIFEST_FILE
-        digests = json.loads(manifest.read_text())
-        digests[DDC_VECTORS_FILE] = hashlib.blake2b(
-            path.read_bytes()).hexdigest()
-        manifest.write_text(json.dumps(digests))
+        lambda rows: [*rows, rows[0]],  # a row for no video
+    ], ids=["dropped", "added"])
+    def test_fragment_rows_not_as_many_as_the_doc_vectors_rejected(
+            self, built, edit):
+        # The manifest vouches for the edited files: only their row count
+        # ties them to the ids of the doc vectors.
+        ptr, dims, weights = read_csr(built.index_dir, 8)
+        rows = edit([(dims[a:b], weights[a:b])
+                     for a, b in zip(ptr, ptr[1:])])
+        save_rows(built.index_dir, rows)
+        vouch_for(built.index_dir, *DDC_VECTORS_FILES)
+        cells = sum(len(d) for d, _ in rows)
+        path = built.index_dir / DDC_OFFSETS_FILE
         with pytest.raises(LodrecError, match=(
-                rf"^{re.escape(str(path))}: its rows are not the videos of "
-                r"doc_vectors\.tsv in the same order; run index again$")):
+                rf"^{re.escape(str(path))}: not 9 offsets \(one per video, "
+                rf"and the end\) rising from 0 to the {cells} dimensions "
+                rf"and {cells} weights$")):
             load_index(built)
 
     def test_non_finite_doc_vector_rejected(self, built):
@@ -492,18 +526,32 @@ class TestLoadIndex:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError,
                            match=r"doc_vectors\.tsv:2: non-finite"):
-            embeddings.load_doc_vectors(path)
+            embeddings.load_doc_vectors(path, path.read_bytes())
 
     def test_non_finite_fragment_weight_rejected(self, built):
-        # One inf weight in v001's row made every score of v001 NaN.
-        path = built.index_dir / DDC_VECTORS_FILE
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("v001\t")
-        lines[0] = lines[0].rsplit(":", 1)[0] + ":inf"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError,
-                           match=r"ddc_vectors\.tsv:1: non-finite"):
-            load_ddc_vectors(path)
+        # One inf weight in v002's row made every score of v002 NaN.
+        ptr, _, weights = read_csr(built.index_dir, 8)
+        weights[ptr[2] - 1] = np.inf
+        np.save(built.index_dir / DDC_WEIGHTS_FILE, weights)
+        vouch_for(built.index_dir, DDC_WEIGHTS_FILE)
+        with pytest.raises(LodrecError, match=r"ddc_weights\.npy: row 2: "
+                           "non-finite weight inf$"):
+            load_index(built)
+
+    def test_each_artifact_is_opened_once(self, built, monkeypatch):
+        # The bytes that load_index parses are the bytes it hashed: no
+        # artifact is opened a second time to parse it.
+        opened = []
+
+        def counted(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return original(file, *args, **kwargs)
+
+        original = io.open
+        monkeypatch.setattr(io, "open", counted)
+        monkeypatch.setattr(builtins, "open", counted)
+        load_index(built)
+        assert sorted(opened) == sorted([*ARTIFACTS, MANIFEST_FILE])
 
     def test_loaded_scores_match_freshly_built(self, built):
         # serialization must not perturb a single bit of any score
