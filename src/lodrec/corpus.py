@@ -25,7 +25,7 @@ from .errors import DuplicateIdError, ParseError
 
 PROVENANCES = ("manual", "transcript", "ocr", "visual")
 
-_LANGUAGE_RE = re.compile(r"^[a-z]{2}$")
+_LANGUAGE_RE = re.compile(r"[a-z]{2}")
 # The index files are lines of tab-separated fields, id first.
 _ID_BREAK_RE = re.compile(r"[\t\r\n]")
 # JSON's \ud800 escape decodes to a lone surrogate, which UTF-8, the
@@ -78,7 +78,7 @@ def _build_record(obj: dict, path, line_no: int) -> VideoRecord:
         raise ParseError(path, line_no, f"id {vid!r} contains a tab or line "
                          "break, which the index files cannot hold")
     language = obj["language"]
-    if not isinstance(language, str) or not _LANGUAGE_RE.match(language):
+    if not isinstance(language, str) or not _LANGUAGE_RE.fullmatch(language):
         raise ParseError(
             path, line_no,
             f"language must be a two-letter lowercase code, got {language!r}",
@@ -204,13 +204,12 @@ def record_to_obj(record: VideoRecord) -> dict:
     }
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """Write the corpus as JSON-lines, preserving record order."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as f:
-        for record in corpus.records:
-            f.write(json.dumps(record_to_obj(record), ensure_ascii=False))
-            f.write("\n")
+def save_corpus(corpus: Corpus):
+    """Yield the corpus as JSON-lines in record order, one UTF-8 line at a
+    time."""
+    for record in corpus.records:
+        line = json.dumps(record_to_obj(record), ensure_ascii=False)
+        yield (line + "\n").encode()
 
 
 __all__ = [

@@ -144,11 +144,6 @@ def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary, *,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def save_vocabulary(vocab: FragmentVocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(vocab.serialize())
-
-
 # The fragment rows on disk: the CSR arrays that ``CorpusIndex`` takes,
 # one plain ``.npy`` file each, by name with its dtype.  Row ``r``'s
 # dimensions, strictly ascending, are ``dims[offsets[r]:offsets[r + 1]]``,
@@ -158,13 +153,17 @@ DDC_VECTORS_FILES = {"ddc_offsets.npy": np.int64, "ddc_dims.npy": np.int64,
                      "ddc_weights.npy": np.float64}
 
 
-def save_ddc_vectors(vectors: list[DdcVector], directory) -> None:
+def save_ddc_vectors(vectors: list[DdcVector]):
+    """Yield each of the ``DDC_VECTORS_FILES`` as (name, chunks): one
+    chunk, the bytes that ``np.save`` writes for its array."""
     cells = [cell for v in vectors for cell in sorted(v.weights.items())]
     arrays = (np.cumsum([0] + [len(v.weights) for v in vectors]),
               [d for d, _ in cells], [w for _, w in cells])
     for (name, dtype), array in zip(DDC_VECTORS_FILES.items(), arrays):
-        np.save(Path(directory) / name, np.array(array, dtype=dtype),
-                allow_pickle=False)
+        out = io.BytesIO()
+        np.lib.format.write_array(out, np.array(array, dtype=dtype),
+                                  allow_pickle=False)
+        yield name, [out.getvalue()]
 
 
 def _parse_npy(path: Path, data: bytes) -> np.ndarray:
@@ -185,9 +184,11 @@ def _parse_npy(path: Path, data: bytes) -> np.ndarray:
     return array
 
 
-def load_ddc_vectors(directory, data: dict[str, bytes], rows: int):
+def load_ddc_vectors(directory, data: dict[str, bytes], rows: int,
+                     size: int):
     """Parse ``data``, the bytes of the ``DDC_VECTORS_FILES`` in
-    ``directory`` by name, as the CSR ``(offsets, dims, weights)``."""
+    ``directory`` by name, as the CSR ``(offsets, dims, weights)`` of
+    ``rows`` rows over a vocabulary of ``size`` fragments."""
     # A refusal names the file, and the row (from 1) at fault.
     paths = [Path(directory) / name for name in DDC_VECTORS_FILES]
     offsets, dims, weights = (_parse_npy(p, data[p.name]) for p in paths)
@@ -204,7 +205,9 @@ def load_ddc_vectors(directory, data: dict[str, bytes], rows: int):
     for path, values, bad, what in (
             (paths[2], weights, ~np.isfinite(weights), "non-finite weight"),
             (paths[1], dims, dims <= floor, "dimension negative, or not "
-             "above the one before it in its row:")):
+             "above the one before it in its row:"),
+            (paths[1], dims, dims >= size, f"dimension past the {size} "
+             "fragments of the vocabulary:")):
         if bad.any():
             i = np.argmax(bad)
             row = np.searchsorted(offsets, i, side="right")
@@ -214,6 +217,6 @@ def load_ddc_vectors(directory, data: dict[str, bytes], rows: int):
 
 __all__ = [
     "DdcVector", "FragmentVocabulary",
-    "build_vocabulary", "fragment_counts", "vectorize", "save_vocabulary",
-    "save_ddc_vectors", "load_ddc_vectors", "DDC_VECTORS_FILES",
+    "build_vocabulary", "fragment_counts", "vectorize", "save_ddc_vectors",
+    "load_ddc_vectors", "DDC_VECTORS_FILES",
 ]

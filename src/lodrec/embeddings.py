@@ -268,14 +268,14 @@ def embed_video(video: VideoRecord, table: EmbeddingTable,
 # ---------------------------------------------------------------------------
 # Cache file: video_id<TAB>tokens_used<TAB>tokens_missed<TAB>v1,...,v_dim
 
-def save_doc_vectors(vectors: list[DocVector], path) -> None:
-    """Each component as the ``repr`` of its float64 value, so the text
-    reads back to the same bits; ``tolist`` and ``map`` keep the loop in C."""
-    with open(path, "w", encoding="utf-8") as f:
-        for v in vectors:
-            components = np.asarray(v.vector, dtype=np.float64).tolist()
-            cells = ",".join(map(repr, components))
-            f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n")
+def save_doc_vectors(vectors: list[DocVector]):
+    """Yield the cache one UTF-8 row at a time, each component as the
+    ``repr`` of its float64 value, so the text reads back to the same bits;
+    ``tolist`` and ``map`` keep the loop in C."""
+    for v in vectors:
+        components = np.asarray(v.vector, dtype=np.float64).tolist()
+        cells = ",".join(map(repr, components))
+        yield f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n".encode()
 
 
 def load_doc_vectors(path, data) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -179,7 +179,7 @@ def read_ntriples(path) -> list[VideoRecord]:
     records = []
     for subj, state in fields.items():
         language = state["language"]
-        if language is None or not _LANGUAGE_RE.match(language):
+        if language is None or not _LANGUAGE_RE.fullmatch(language):
             raise ParseError(
                 path, first_line[subj],
                 f"video <{subj}> has no valid language triple "

@@ -12,8 +12,12 @@ six artifacts in ``index_dir`` and the manifest ``index`` writes last:
     manifest.json    SHA-256 digest of each file above
 
 Artifact writes are deterministic: identical inputs give byte-identical
-files.  ``load_index`` parses only bytes it read once and hashed, and
-refuses any file the manifest does not vouch for.
+files.  Every file reaches ``index_dir`` through ``_write``: under a
+temporary name, renamed into place, so a failed or interrupted ``ingest``
+or ``index`` leaves each one old or new, never part written (durability
+against power loss, ``fsync``, is out of scope).  The format modules
+only produce the bytes.  ``load_index`` parses only bytes it read once
+and hashed, and refuses any file the manifest does not vouch for.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,7 +38,6 @@ from .ddc_vectors import (
     fragment_counts,
     load_ddc_vectors,
     save_ddc_vectors,
-    save_vocabulary,
     vectorize,
 )
 from .embeddings import (
@@ -183,7 +187,7 @@ def run_ingest(config: PipelineConfig) -> dict:
     corpus = load_corpus(config.corpus_path, format=config.corpus_format,
                          language_filter=config.language)
     config.index_dir.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, config.index_dir / CORPUS_FILE)
+    _write(config.index_dir / CORPUS_FILE, save_corpus(corpus))
     return {
         "read": len(corpus) + corpus.dropped_count,
         "retained": len(corpus),
@@ -204,6 +208,22 @@ def _load_normalized_corpus(config: PipelineConfig) -> Corpus:
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _write(path: Path, chunks) -> str:
+    """Write the byte ``chunks`` to ``path`` whole or not at all, through a
+    temporary name in the same directory; return their ``_digest``."""
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(temp, "wb") as f:
+            for chunk in chunks:
+                digest.update(chunk)
+                f.write(chunk)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # still there only if the write failed
+    return digest.hexdigest()
 
 
 def run_index(config: PipelineConfig) -> dict:
@@ -235,24 +255,23 @@ def run_index(config: PipelineConfig) -> dict:
     doc_vectors = [embed_video(r, table, tokens=toks)
                    for r, toks in zip(corpus.records, tokens)]
 
-    config.index_dir.mkdir(parents=True, exist_ok=True)
-    save_vocabulary(vocab, config.index_dir / VOCABULARY_FILE)
-    save_ddc_vectors(ddc_vectors, config.index_dir)
-    save_doc_vectors(doc_vectors, config.index_dir / DOC_VECTORS_FILE)
+    out = config.index_dir
+    digests = {CORPUS_FILE: _digest((out / CORPUS_FILE).read_bytes())}
+    for name, chunks in [(VOCABULARY_FILE, [vocab.serialize().encode()]),
+                         *save_ddc_vectors(ddc_vectors),
+                         (DOC_VECTORS_FILE, save_doc_vectors(doc_vectors))]:
+        digests[name] = _write(out / name, chunks)
     # Written last: until it is, a rebuild's files do not match the old
     # manifest, so a build that stops halfway cannot be loaded.
-    manifest = json.dumps(
-        {name: _digest((config.index_dir / name).read_bytes())
-         for name in ARTIFACTS},
-        indent=2) + "\n"
-    (config.index_dir / MANIFEST_FILE).write_text(manifest, encoding="utf-8")
+    manifest = json.dumps(digests, indent=2) + "\n"
+    fingerprint = _write(out / MANIFEST_FILE, [manifest.encode()])
 
     resolved = sum(len(v.resolved) for v in enriched)
     unresolved = sum(v.unresolved_count for v in enriched)
     return {
         "videos": len(corpus),
         "vocabulary_size": len(vocab),
-        "fingerprint": _digest(manifest.encode("utf-8"))[:16],
+        "fingerprint": fingerprint[:16],
         "resolved_tags": resolved,
         "unresolved_tags": unresolved,
         "videos_without_codes": sum(1 for v in ddc_vectors if not v.weights),
@@ -304,7 +323,7 @@ def load_index(config: PipelineConfig) -> CorpusIndex:
     ids, tokens_used, text = load_doc_vectors(
         config.index_dir / DOC_VECTORS_FILE, data[DOC_VECTORS_FILE])
     code_ptr, code_dims, code_weights = load_ddc_vectors(
-        config.index_dir, data, len(ids))
+        config.index_dir, data, len(ids), data[VOCABULARY_FILE].count(b"\n"))
     return CorpusIndex(ids, text, tokens_used, code_ptr, code_dims,
                        code_weights, weights=config.weights)
 

@@ -66,11 +66,12 @@ def toy_run(tmp_path):
     return run_dir
 
 
-def read_csr(directory: Path, rows: int):
-    """``load_ddc_vectors`` on the fragment files in ``directory``."""
+def read_csr(directory: Path, rows: int, size: int):
+    """``load_ddc_vectors`` on the fragment files in ``directory``, for a
+    vocabulary of ``size`` fragments."""
     return load_ddc_vectors(directory, {
         name: (directory / name).read_bytes() for name in DDC_VECTORS_FILES},
-        rows)
+        rows, size)
 
 
 def write_toy_config(tmp_path: Path, **overrides) -> Path:

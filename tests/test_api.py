@@ -139,3 +139,81 @@ def test_package_unpickles_nothing():
     can make it run code."""
     for path in sorted((REPO / "src" / "lodrec").glob("*.py")):
         assert unsafe_loads(path.read_text(encoding="utf-8")) == [], path.name
+
+
+# Calls that write a file: numpy's savers, ``tofile``, ``write_text`` and
+# ``write_bytes``, and ``open`` (builtin, ``io.open`` or a path's) in a
+# mode that is not plainly a read.  ``os.open`` takes flags, not a mode.
+WRITE_CALLS = {"save", "savez", "savez_compressed", "savetxt", "tofile",
+               "write_text", "write_bytes"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        modes = call.args[1:2]
+    elif isinstance(func.value, ast.Name) and func.value.id == "os":
+        return False
+    elif isinstance(func.value, ast.Name) and func.value.id == "io":
+        modes = call.args[1:2]
+    else:
+        modes = call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and not set(m.value) & set("wax+")) for m in modes)
+
+
+def file_writes(source: str) -> list[tuple[str | None, str]]:
+    """Each call in ``source`` that writes a file, as (the function it is
+    in, or None at module level; the call and its line)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None))
+            if name in WRITE_CALLS or (name == "open"
+                                       and _opens_for_writing(node)):
+                found.append((function, f"{ast.unparse(node)} on line "
+                              f"{node.lineno}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("source,found", [
+    ("open(p)", []),
+    ("open(p, 'rb')", []),
+    ("open(p, encoding='utf-8')", []),
+    ("io.open(p, mode='r')", []),
+    ("p.open()", []),
+    ("os.open(os.devnull, os.O_WRONLY)", []),
+    ("np.load(f, allow_pickle=False)", []),
+    ("def f():\n    open(p, 'w')", [("f", "open(p, 'w') on line 2")]),
+    ("open(p, mode='a')", [(None, "open(p, mode='a') on line 1")]),
+    ("io.open(p, 'r+b')", [(None, "io.open(p, 'r+b') on line 1")]),
+    ("p.open('xb')", [(None, "p.open('xb') on line 1")]),
+    ("open(p, m)", [(None, "open(p, m) on line 1")]),
+    ("np.save(p, a)", [(None, "np.save(p, a) on line 1")]),
+    ("numpy.savez(p, a=a)", [(None, "numpy.savez(p, a=a) on line 1")]),
+    ("a.tofile(p)", [(None, "a.tofile(p) on line 1")]),
+    ("class C:\n    def g(self):\n        p.write_text(t)",
+     [("g", "p.write_text(t) on line 3")]),
+    ("p.write_bytes(b)", [(None, "p.write_bytes(b) on line 1")]),
+])
+def test_file_writes_finds_what_it_is_meant_to(source, found):
+    assert file_writes(source) == found
+
+
+def test_only_the_artifact_writer_writes_files():
+    """Every file the package writes reaches disk through
+    ``pipeline._write``, whole or not at all."""
+    for path in sorted((REPO / "src" / "lodrec").glob("*.py")):
+        writes = file_writes(path.read_text(encoding="utf-8"))
+        if path.name == "pipeline.py":
+            writes = [(f, call) for f, call in writes if f != "_write"]
+        assert writes == [], path.name

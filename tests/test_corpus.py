@@ -21,6 +21,10 @@ def write_jsonl(path, objs):
     return path
 
 
+def write_corpus(corpus: Corpus, path):
+    path.write_bytes(b"".join(save_corpus(corpus)))
+
+
 def record_obj(vid="v1", language="de", title="Titel", abstract="",
                tags=None):
     if tags is None:
@@ -97,6 +101,16 @@ class TestValidation:
         mutate(obj)
         path = write_jsonl(tmp_path / "c.jsonl", [obj])
         with pytest.raises(ParseError, match=message):
+            load_corpus(path)
+
+    def test_language_with_a_trailing_line_break_rejected(self, tmp_path):
+        # A "$" anchor matches before a final line break: "de\n" loaded,
+        # and a language filter then dropped it without a word.
+        path = write_jsonl(tmp_path / "c.jsonl", [
+            record_obj("v0"), record_obj(language="de\n")])
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:2: language must be a two-letter lowercase code, "
+                "got 'de\\n'")):
             load_corpus(path)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -194,7 +208,7 @@ class TestLanguageFilter:
     def test_filtering_is_idempotent(self, tmp_path):
         # index loads ingest's filtered corpus with the same filter again
         once = load_corpus(TOY / "corpus.jsonl", language_filter="de")
-        save_corpus(once, tmp_path / "once.jsonl")
+        write_corpus(once, tmp_path / "once.jsonl")
         twice = load_corpus(tmp_path / "once.jsonl", language_filter="de")
         assert twice.records == once.records
         assert twice.dropped_count == 0
@@ -209,12 +223,12 @@ class TestLanguageFilter:
 class TestRoundTrip:
     def test_save_load_identity(self, toy_corpus, tmp_path):
         out = tmp_path / "out.jsonl"
-        save_corpus(toy_corpus, out)
+        write_corpus(toy_corpus, out)
         assert load_corpus(out) == toy_corpus
 
     def test_save_empty_corpus(self, tmp_path):
         out = tmp_path / "out.jsonl"
-        save_corpus(Corpus(records=[]), out)
+        write_corpus(Corpus(records=[]), out)
         assert out.read_text(encoding="utf-8") == ""
         assert len(load_corpus(out)) == 0
 
@@ -224,7 +238,7 @@ class TestRoundTrip:
             abstract="Straße, Körper, Maß",
             tags=(Tag(surface="Fakultät", provenance="manual"),))
         out = tmp_path / "out.jsonl"
-        save_corpus(Corpus(records=[record]), out)
+        write_corpus(Corpus(records=[record]), out)
         raw = out.read_bytes()
         assert "Universität".encode("utf-8") in raw  # not \u-escaped
         assert load_corpus(out).records[0] == record
@@ -235,13 +249,13 @@ class TestRoundTrip:
             tags=(Tag(surface="SPARQL", provenance="manual",
                       gnd_id="gnd:4409615-8"),))
         out = tmp_path / "out.jsonl"
-        save_corpus(Corpus(records=[record]), out)
+        write_corpus(Corpus(records=[record]), out)
         reloaded = load_corpus(out).records[0]
         assert reloaded.tags[0].gnd_id == "gnd:4409615-8"
 
     def test_double_round_trip_is_byte_stable(self, toy_corpus, tmp_path):
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        save_corpus(toy_corpus, first)
-        save_corpus(load_corpus(first), second)
+        write_corpus(toy_corpus, first)
+        write_corpus(load_corpus(first), second)
         assert first.read_bytes() == second.read_bytes()

@@ -21,7 +21,6 @@ from lodrec.ddc_vectors import (
     fragment_counts,
     load_ddc_vectors,
     save_ddc_vectors,
-    save_vocabulary,
     vectorize,
 )
 from lodrec.embeddings import DocVector
@@ -350,22 +349,19 @@ class TestDdcSimilarity:
 
 
 class TestSerialization:
-    def test_vocabulary_file_has_one_line_per_fragment(self, tmp_path):
+    def test_vocabulary_file_has_one_line_per_fragment(self):
         enriched = make_enriched({"v1": [["005.74", "005.133"]]})
-        vocab = build_vocabulary(enriched)
-        out = tmp_path / "vocab.tsv"
-        save_vocabulary(vocab, out)
-        lines = out.read_text(encoding="utf-8").splitlines()
+        lines = build_vocabulary(enriched).serialize().splitlines()
         assert lines == ["1\t5", "2\t51", "2\t57", "3\t513", "3\t574",
                          "4\t5133"]
 
     def test_vector_round_trip_is_exact(self, tmp_path, toy_enriched):
         vocab = build_vocabulary(toy_enriched)
         vectors = [vectorize(e, vocab) for e in toy_enriched]
-        save_ddc_vectors(vectors, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            sorted(DDC_VECTORS_FILES)
-        ptr, dims, weights = read_csr(tmp_path, len(vectors))
+        data = serialized(vectors)
+        assert list(data) == list(DDC_VECTORS_FILES)
+        ptr, dims, weights = load_ddc_vectors(tmp_path, data, len(vectors),
+                                              len(vocab))
         assert (ptr.dtype, dims.dtype, weights.dtype) == \
             (np.intp, np.intp, np.float64)
         assert [list(zip(dims[a:b].tolist(), weights[a:b].tolist()))
@@ -373,20 +369,37 @@ class TestSerialization:
             [sorted(v.weights.items()) for v in vectors]
 
     def test_rows_without_codes_round_trip(self, tmp_path):
-        save_ddc_vectors([DdcVector("a", {}), DdcVector("b", {2: 0.5}),
-                          DdcVector("c", {})], tmp_path)
-        ptr, dims, weights = read_csr(tmp_path, 3)
+        data = serialized([DdcVector("a", {}), DdcVector("b", {2: 0.5}),
+                           DdcVector("c", {})])
+        ptr, dims, weights = load_ddc_vectors(tmp_path, data, 3, 3)
         assert ptr.tolist() == [0, 0, 1, 1]
         assert (dims.tolist(), weights.tolist()) == ([2], [0.5])
 
     def test_data_is_parsed_in_place_of_the_files(self, tmp_path):
-        save_ddc_vectors([DdcVector("a", {1: 0.5})], tmp_path)
-        other = tmp_path / "other"
-        other.mkdir()
-        save_ddc_vectors([DdcVector("b", {3: 2.0})], other)
-        data = {n: (other / n).read_bytes() for n in DDC_VECTORS_FILES}
-        _, dims, weights = load_ddc_vectors(tmp_path, data, 1)
+        save_csr(tmp_path, [0, 1], [1], [0.5])
+        data = serialized([DdcVector("b", {3: 2.0})])
+        _, dims, weights = load_ddc_vectors(tmp_path, data, 1, 4)
         assert (dims.tolist(), weights.tolist()) == ([3], [2.0])
+
+    def test_writes_the_former_writers_bytes(self, tmp_path, toy_enriched):
+        vocab = build_vocabulary(toy_enriched)
+        vectors = [vectorize(e, vocab) for e in toy_enriched]
+        vectors.insert(1, DdcVector("no-codes", {}))
+        # The former writer: one np.save per file, straight to its path.
+        cells = [cell for v in vectors for cell in sorted(v.weights.items())]
+        arrays = (np.cumsum([0] + [len(v.weights) for v in vectors]),
+                  [d for d, _ in cells], [w for _, w in cells])
+        for (name, dtype), array in zip(DDC_VECTORS_FILES.items(), arrays):
+            np.save(tmp_path / name, np.array(array, dtype=dtype),
+                    allow_pickle=False)
+        assert serialized(vectors) == {
+            name: (tmp_path / name).read_bytes() for name in DDC_VECTORS_FILES}
+
+
+def serialized(vectors) -> dict[str, bytes]:
+    """``save_ddc_vectors`` as the bytes of each file, by name."""
+    return {name: b"".join(chunks)
+            for name, chunks in save_ddc_vectors(vectors)}
 
 
 def save_csr(directory, ptr, dims, weights, **replaced):
@@ -420,11 +433,11 @@ class TestFragmentFileRefusals:
     def refused(self, tmp_path, match, **replaced):
         save_csr(tmp_path, PTR, DIMS, WEIGHTS, **replaced)
         with pytest.raises(LodrecError, match=match):
-            read_csr(tmp_path, len(PTR) - 1)
+            read_csr(tmp_path, len(PTR) - 1, 3)
 
     def test_the_unaltered_files_load(self, tmp_path):
         save_csr(tmp_path, PTR, DIMS, WEIGHTS)
-        assert [a.tolist() for a in read_csr(tmp_path, 2)] == \
+        assert [a.tolist() for a in read_csr(tmp_path, 2, 3)] == \
             [PTR, DIMS, WEIGHTS]
 
     @pytest.mark.parametrize("data", [
@@ -494,7 +507,14 @@ class TestFragmentFileRefusals:
                      r"negative, or not above the one before it in its "
                      rf"row: {dim}$", **{DDC_DIMS_FILE: np.array(dims)})
 
+    @pytest.mark.parametrize("dims,row,dim", [
+        ([0, 3, 1], 1, 3), ([0, 2, 2**62], 2, 2**62)])
+    def test_dimension_past_the_vocabulary(self, tmp_path, dims, row, dim):
+        self.refused(tmp_path, rf"ddc_dims\.npy: row {row}: dimension past "
+                     rf"the 3 fragments of the vocabulary: {dim}$",
+                     **{DDC_DIMS_FILE: np.array(dims)})
+
     def test_a_row_may_start_below_the_last_of_the_row_before(self,
                                                               tmp_path):
         save_csr(tmp_path, [0, 2, 2, 4], [3, 5, 0, 1], [1.0] * 4)
-        assert read_csr(tmp_path, 3)[1].tolist() == [3, 5, 0, 1]
+        assert read_csr(tmp_path, 3, 6)[1].tolist() == [3, 5, 0, 1]

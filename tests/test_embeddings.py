@@ -651,9 +651,9 @@ class TestDocVectorCache:
         docs = [embed_video(video(title=" ".join(
             rng.choices(list(table.vectors), k=3))), table)
             for _ in range(4)]
-        out = tmp_path / "docs.tsv"
-        save_doc_vectors(docs, out)
-        ids, tokens_used, vectors = load_doc_vectors(out, out.read_bytes())
+        data = b"".join(save_doc_vectors(docs))
+        ids, tokens_used, vectors = load_doc_vectors(tmp_path / "docs.tsv",
+                                                     data)
         assert ids == [d.video_id for d in docs]
         assert tokens_used.tolist() == [d.tokens_used for d in docs]
         assert np.array_equal(vectors, np.stack([d.vector for d in docs]))
@@ -673,9 +673,8 @@ class TestDocVectorCache:
         values[0, :4] = [5e-324, -0.0, 1.7976931348623157e308, 0.1]
         docs = [DocVector(f"v{r}", row.copy(), 1, 0)
                 for r, row in enumerate(values)]
-        out = tmp_path / "docs.tsv"
-        save_doc_vectors(docs, out)
-        ids, _, got = load_doc_vectors(out, out.read_bytes())
+        data = b"".join(save_doc_vectors(docs))
+        ids, _, got = load_doc_vectors(tmp_path / "docs.tsv", data)
         assert ids == [d.video_id for d in docs]
         assert np.array_equal(got.view(np.int64), values.view(np.int64))
 
@@ -689,12 +688,12 @@ class TestDocVectorCache:
                 DocVector("random", rng.normal(size=7).astype(dtype), 1, 0),
                 DocVector("wide", rng.normal(scale=1e-9, size=300)
                           .astype(dtype), 3, 4)]
-        ours, former = tmp_path / "ours.tsv", tmp_path / "former.tsv"
-        save_doc_vectors(docs, ours)
+        ours = b"".join(save_doc_vectors(docs))
+        former = tmp_path / "former.tsv"
         former_save_doc_vectors(docs, former)
-        assert ours.read_bytes() == former.read_bytes()
+        assert ours == former.read_bytes()
         if dtype is np.float64:
-            assert ours.read_text().startswith(
+            assert ours.decode().startswith(
                 "edge\t2\t1\t-0.0,5e-324,1e-05,1e+16,0.30000000000000004,")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

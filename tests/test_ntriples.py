@@ -257,6 +257,18 @@ class TestErrors:
         with pytest.raises(ParseError, match="language"):
             read_ntriples(write_nt(tmp_path, lines))
 
+    def test_language_with_a_trailing_line_break_rejected(self, tmp_path):
+        # The literal escape \n made the language "de\n", which the former
+        # "^[a-z]{2}$" pattern let through.
+        other = "<http://example.org/v0>"
+        lines = [f'{other} {TITLE} "Titel" .', f'{other} {LANG} "de" .',
+                 f'{SUBJ} {TITLE} "Titel" .', f'{SUBJ} {LANG} "de\\n" .']
+        path = write_nt(tmp_path, lines)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:3: video <http://example.org/v1> has no valid "
+                "language triple (got 'de\\n')")):
+            read_ntriples(path)
+
     def test_empty_tag_surface_rejected(self, tmp_path):
         lines = [*minimal(), f'{SUBJ} {OCR} "  " .']
         with pytest.raises(ParseError, match="surface"):

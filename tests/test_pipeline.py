@@ -45,6 +45,7 @@ from conftest import (
 
 DDC_OFFSETS_FILE, DDC_DIMS_FILE, DDC_WEIGHTS_FILE = DDC_VECTORS_FILES
 WEIGHTS = "weights must be finite and non-negative with positive sum"
+TOY_VOCABULARY = 32  # fragments in the vocabulary of the toy build
 
 
 def md5(path: Path) -> str:
@@ -488,7 +489,7 @@ class TestLoadIndex:
             load_index(config)
 
     def test_vector_rows_out_of_order_rejected(self, built):
-        ptr, dims, weights = read_csr(built.index_dir, 8)
+        ptr, dims, weights = read_csr(built.index_dir, 8, TOY_VOCABULARY)
         rows = [(dims[a:b], weights[a:b]) for a, b in zip(ptr, ptr[1:])]
         save_rows(built.index_dir, [rows[1], rows[0], *rows[2:]])
         with pytest.raises(LodrecError, match=r"ddc_(offsets|dims)\.npy: "
@@ -503,7 +504,7 @@ class TestLoadIndex:
             self, built, edit):
         # The manifest vouches for the edited files: only their row count
         # ties them to the ids of the doc vectors.
-        ptr, dims, weights = read_csr(built.index_dir, 8)
+        ptr, dims, weights = read_csr(built.index_dir, 8, TOY_VOCABULARY)
         rows = edit([(dims[a:b], weights[a:b])
                      for a, b in zip(ptr, ptr[1:])])
         save_rows(built.index_dir, rows)
@@ -530,12 +531,24 @@ class TestLoadIndex:
 
     def test_non_finite_fragment_weight_rejected(self, built):
         # One inf weight in v002's row made every score of v002 NaN.
-        ptr, _, weights = read_csr(built.index_dir, 8)
+        ptr, _, weights = read_csr(built.index_dir, 8, TOY_VOCABULARY)
         weights[ptr[2] - 1] = np.inf
         np.save(built.index_dir / DDC_WEIGHTS_FILE, weights)
         vouch_for(built.index_dir, DDC_WEIGHTS_FILE)
         with pytest.raises(LodrecError, match=r"ddc_weights\.npy: row 2: "
                            "non-finite weight inf$"):
+            load_index(built)
+
+    @pytest.mark.parametrize("dim", [TOY_VOCABULARY, 2**40])
+    def test_fragment_dimension_past_the_vocabulary_rejected(self, built, dim):
+        # 2**40 made `recommend` try to allocate 8 TiB for the postings.
+        ptr, dims, _ = read_csr(built.index_dir, 8, TOY_VOCABULARY)
+        dims[ptr[1] - 1] = dim  # the last of v001's row: still ascending
+        np.save(built.index_dir / DDC_DIMS_FILE, dims)
+        vouch_for(built.index_dir, DDC_DIMS_FILE)
+        with pytest.raises(LodrecError, match=(
+                rf"ddc_dims\.npy: row 1: dimension past the {TOY_VOCABULARY} "
+                rf"fragments of the vocabulary: {dim}$")):
             load_index(built)
 
     def test_each_artifact_is_opened_once(self, built, monkeypatch):
@@ -564,3 +577,157 @@ class TestLoadIndex:
         assert np.array_equal(m_a, m_b, equal_nan=True)
         s = combined_similarity(index_a, "v001", "v002")
         assert s.s_lod is not None
+
+
+# The files in the order a build writes them; ``index`` leaves the first.
+WRITTEN = (*ARTIFACTS, MANIFEST_FILE)
+STALE = (r": differs from its digest in manifest\.json: the file changed "
+         r"after the build, or the build did not finish; run index again$")
+
+
+class InjectedError(OSError):
+    pass
+
+
+class InjectedInterrupt(KeyboardInterrupt):
+    pass
+
+
+def files(index_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in index_dir.iterdir()}
+
+
+def fail_writing(monkeypatch, name: str, how: str) -> list[list[str]]:
+    """Make the write of the file ``name`` fail, as ``how`` says: its
+    chunks raise an error ("chunks") or a ``KeyboardInterrupt``
+    ("interrupt") after the first, or the rename into place raises
+    ("rename").  Returns the listings of the directory taken as it
+    failed."""
+    listings = []
+    if how == "rename":
+        replace = pipeline.os.replace
+
+        def failing(src, dst):
+            if Path(dst).name == name:
+                listings.append(sorted(p.name for p in Path(dst).parent
+                                       .iterdir()))
+                raise InjectedError("rename failed")
+            return replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", failing)
+        return listings
+    write = pipeline._write
+
+    def first_chunk_only(path, chunks):
+        for chunk in chunks:
+            yield chunk
+            listings.append(sorted(p.name for p in path.parent.iterdir()))
+            raise (InjectedInterrupt if how == "interrupt" else
+                   InjectedError)("stopped after the first chunk")
+
+    monkeypatch.setattr(pipeline, "_write", lambda path, chunks: write(
+        path, first_chunk_only(path, chunks) if path.name == name
+        else chunks))
+    return listings
+
+
+FAILURES = {"chunks": InjectedError, "interrupt": InjectedInterrupt,
+            "rename": InjectedError}
+
+
+def assert_failed_cleanly(name, listings, before, after):
+    """The failed write of ``name`` had a temporary file beside it, which
+    is gone; ``name`` is as it was, or absent; no other file appeared."""
+    [listing] = listings
+    assert [n for n in listing if n not in WRITTEN] == \
+        [f"{name}.{pipeline.os.getpid()}.tmp"]
+    assert set(after) <= set(WRITTEN)
+    assert after.get(name) == before.get(name)
+
+
+class TestFailedWrites:
+    """``ingest`` and ``index`` write each file whole or not at all: one
+    that fails partway leaves every file old or new, never part written,
+    and no temporary file."""
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        return load_config(write_config(tmp_path))
+
+    @pytest.mark.parametrize("how", FAILURES)
+    @pytest.mark.parametrize("name", WRITTEN[1:])
+    def test_index_over_a_previous_build(self, config, monkeypatch, name,
+                                         how):
+        run_ingest(config)
+        run_index(config)
+        before = files(config.index_dir)
+        answers = recommend("v001", load_index(config), k=3).ranked
+        rebuild = override_config(config, fragmentation_mode="zero_preserving")
+        listings = fail_writing(monkeypatch, name, how)
+        with pytest.raises(FAILURES[how]):
+            run_index(rebuild)
+        monkeypatch.undo()
+        after = files(config.index_dir)
+        assert_failed_cleanly(name, listings, before, after)
+        try:
+            answered = recommend("v001", load_index(config), k=3).ranked
+        except LodrecError as e:
+            assert re.search(STALE, str(e)), e
+        else:
+            assert answered == answers
+        run_index(rebuild)
+        rebuilt = files(config.index_dir)
+        assert before != rebuilt
+        for n, data in after.items():
+            assert data in (before[n], rebuilt[n]), n
+
+    @pytest.mark.parametrize("how", FAILURES)
+    @pytest.mark.parametrize("name", WRITTEN[1:])
+    def test_index_into_a_fresh_directory(self, config, monkeypatch, name,
+                                          how):
+        run_ingest(config)
+        listings = fail_writing(monkeypatch, name, how)
+        with pytest.raises(FAILURES[how]):
+            run_index(config)
+        monkeypatch.undo()
+        after = files(config.index_dir)
+        assert_failed_cleanly(name, listings, {}, after)
+        assert sorted(after) == sorted(WRITTEN[:WRITTEN.index(name)])
+        with pytest.raises(LodrecError, match=r"manifest\.json: index "
+                           "manifest not found; run index$"):
+            load_index(config)
+
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_ingest_over_a_previous_build(self, config, tmp_path,
+                                          monkeypatch, how):
+        run_ingest(config)
+        run_index(config)
+        before = files(config.index_dir)
+        answers = recommend("v001", load_index(config), k=3).ranked
+        lines = (TOY / "corpus.jsonl").read_text(encoding="utf-8")
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(reversed(lines.splitlines(True))),
+                         encoding="utf-8")
+        listings = fail_writing(monkeypatch, CORPUS_FILE, how)
+        with pytest.raises(FAILURES[how]):
+            run_ingest(override_config(config, corpus_path=other))
+        monkeypatch.undo()
+        after = files(config.index_dir)
+        assert_failed_cleanly(CORPUS_FILE, listings, before, after)
+        assert after == before
+        assert recommend("v001", load_index(config), k=3).ranked == answers
+        # The next index rebuilds the previous corpus, not a prefix of the
+        # new one.
+        run_index(config)
+        assert files(config.index_dir) == before
+
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_ingest_into_a_fresh_directory(self, config, monkeypatch, how):
+        listings = fail_writing(monkeypatch, CORPUS_FILE, how)
+        with pytest.raises(FAILURES[how]):
+            run_ingest(config)
+        monkeypatch.undo()
+        assert_failed_cleanly(CORPUS_FILE, listings, {},
+                              files(config.index_dir))
+        with pytest.raises(LodrecError, match="run ingest first"):
+            run_index(config)
