@@ -16,6 +16,7 @@ reader in :mod:`lodrec.ntriples` produces the same records.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -134,10 +135,10 @@ def _check_encodable(record: VideoRecord, path, line_no: int) -> None:
                              "UTF-8 cannot encode")
 
 
-def _read_jsonl(path) -> list[VideoRecord]:
+def _read_jsonl(path, data: bytes) -> list[VideoRecord]:
     records = []
     first_line: dict[str, int] = {}  # video id -> line of its record
-    with open(path, encoding="utf-8") as f:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -160,8 +161,10 @@ def _read_jsonl(path) -> list[VideoRecord]:
 
 
 def load_corpus(path, format: str = "jsonl",
-                language_filter: str | None = None) -> Corpus:
-    """Load and validate a corpus file.
+                language_filter: str | None = None, *,
+                data: bytes | None = None) -> Corpus:
+    """Load and validate a corpus file; for JSONL, ``data`` may give the
+    bytes the caller read of it.
 
     Records whose language differs from ``language_filter`` are dropped
     (count kept on the returned Corpus).  Duplicate ids are a hard error:
@@ -171,7 +174,8 @@ def load_corpus(path, format: str = "jsonl",
     """
     path = Path(path)
     if format == "jsonl":
-        records = _read_jsonl(path)
+        records = _read_jsonl(path, path.read_bytes() if data is None
+                              else data)
     elif format == "ntriples":
         from .ntriples import read_ntriples
         records = read_ntriples(path)

@@ -1,19 +1,28 @@
-"""Per-video tf-idf vectors over classification-code fragments.
+"""Per-video tf-idf rows over classification-code fragments.
 
-Every video gets a sparse vector whose dimensions are the corpus-global
-set of code fragments.  A fragment's weight is ``tf * ln(n_docs / df)``:
-raw occurrence count over the video's (tag, code) pairs times unsmoothed
-inverse document frequency.  Deep fragments are rare across the corpus,
-so they dominate the cosine similarity between two vectors, which is the
-point of fragmenting the hierarchy in the first place.
+Every video gets a sparse row whose dimensions are the corpus-global
+vocabulary of code fragments, in (level, prefix) order.  A fragment's
+weight is ``tf * idf``:
+
+- ``tf`` is its occurrence count over the video's (tag, code) pairs: one
+  ``np.unique`` over the (video, fragment) cell of every occurrence;
+- ``df`` is the number of videos with the fragment, one ``np.bincount``
+  over those distinct cells, and ``n_docs`` counts every video, those
+  without codes too;
+- ``idf`` is the unsmoothed ``math.log(n_docs / df)``, taken in Python
+  once per fragment: ``np.log`` may differ from it in the last bit, and
+  the weights are pinned to it.
+
+A fragment in every video gets idf 0 and is left out of the rows, but
+keeps its dimension.  Deep fragments are rare across the corpus, so they
+dominate the cosine similarity between two rows, which is the point of
+fragmenting the hierarchy in the first place.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,121 +33,42 @@ from .ddc import DEFAULT_MODE, Fragment, fragment_code
 from .errors import LodrecError
 
 
-@dataclass
-class FragmentVocabulary:
-    """Corpus-global ordered fragment set defining the vector dimensions.
-
-    ``fragments`` is sorted by (level, prefix) so serialized indices are
-    portable across runs and machines.  ``df`` counts documents (videos)
-    containing each fragment at least once; ``n_docs`` is the corpus size
-    including videos without any resolved codes.
-    """
-
-    fragments: list[Fragment]
-    index: dict[Fragment, int]
-    df: dict[Fragment, int]
-    n_docs: int
-    mode: str = DEFAULT_MODE
-
-    def __len__(self) -> int:
-        return len(self.fragments)
-
-    def serialize(self) -> str:
-        """One fragment per line, ``level<TAB>prefix``, vocabulary order."""
-        return "".join(f"{f.level}\t{f.prefix}\n" for f in self.fragments)
-
-    def idf(self, fragment: Fragment) -> float:
-        return math.log(self.n_docs / self.df[fragment])
-
-
-@dataclass
-class DdcVector:
-    """Sparse tf-idf weights for one video, keyed by vocabulary dimension.
-
-    Zeros are absent from the map, so an empty ``weights`` dict means the
-    video has no usable classification evidence.
-    """
-
-    video_id: str
-    weights: dict[int, float]
-    unknown_fragments: int = field(default=0, compare=False)
-
-
-def fragment_counts(enriched: list[EnrichedVideo],
-                    mode: str = DEFAULT_MODE) -> list[Counter]:
-    """Each video's fragment multiplicities over its (tag, code) pairs.
-
-    Each distinct code is fragmented once per call, and equal fragments
-    are one object, so the counts hash and compare them cheaply.  The
-    memo lives only as long as the call.
-    """
-    fragments: dict[str, tuple[Fragment, ...]] = {}  # by the code's digits
-    shared: dict[Fragment, Fragment] = {}
-    out = []
+def fragment_rows(enriched: list[EnrichedVideo], mode: str = DEFAULT_MODE):
+    """The vocabulary and tf-idf rows of ``enriched``, one row per video in
+    order: ``(fragments, offsets, dims, weights)``, the fragments sorted
+    by (level, prefix) and the rows as the CSR of ``DDC_VECTORS_FILES``.
+    Each distinct code is fragmented once, and each distinct fragment
+    numbered once, in order of first appearance."""
+    numbers: dict[Fragment, int] = {}
+    by_code: dict[str, list[int]] = {}  # by the code's digits
+    cells: list[int] = []  # the fragment numbers of every (tag, code) pair
+    ends = [0]  # where each video's cells end, after a leading 0
     for video in enriched:
-        counts: Counter = Counter()
         for resolved in video.resolved:
             for code in resolved.ddc_codes:
-                frags = fragments.get(code.digits)
+                frags = by_code.get(code.digits)
                 if frags is None:
-                    frags = fragments[code.digits] = tuple(
-                        shared.setdefault(f, f)
-                        for f in fragment_code(code, mode))
-                counts.update(frags)
-        out.append(counts)
-    return out
-
-
-def build_vocabulary(enriched: list[EnrichedVideo],
-                     mode: str = DEFAULT_MODE, *,
-                     counts: list[Counter] | None = None,
-                     ) -> FragmentVocabulary:
-    """Collect the distinct fragments of all resolved codes of all videos.
-
-    A caller that already holds ``fragment_counts(enriched, mode)``
-    passes it as ``counts``.
-    """
-    if counts is None:
-        counts = fragment_counts(enriched, mode)
-    df: Counter = Counter()
-    for video_counts in counts:
-        df.update(video_counts.keys())
+                    frags = by_code[code.digits] = [
+                        numbers.setdefault(f, len(numbers))
+                        for f in fragment_code(code, mode)]
+                cells += frags
+        ends.append(len(cells))
     # The dataclass order, (level, prefix), compared in C.
-    fragments = sorted(df, key=attrgetter("level", "prefix"))
-    return FragmentVocabulary(
-        fragments=fragments,
-        index={f: i for i, f in enumerate(fragments)},
-        df=dict(df),
-        n_docs=len(enriched),
-        mode=mode,
-    )
-
-
-def vectorize(video: EnrichedVideo, vocab: FragmentVocabulary, *,
-              counts: Counter | None = None) -> DdcVector:
-    """tf-idf weights for every vocabulary fragment the video contains.
-
-    Fragments outside the vocabulary are skipped and counted (this only
-    happens when a video was not part of the vocabulary build).
-    Fragments occurring in every document get idf 0 and are left out.
-    A caller that already holds the video's entry of ``fragment_counts``
-    (in ``vocab.mode``) passes it as ``counts``.
-    """
-    if counts is None:
-        counts = fragment_counts([video], vocab.mode)[0]
-    entries: list[tuple[int, float]] = []
-    unknown = 0
-    for fragment, tf in counts.items():
-        dim = vocab.index.get(fragment)
-        if dim is None:
-            unknown += 1
-            continue
-        if vocab.df[fragment] >= vocab.n_docs:
-            continue
-        entries.append((dim, tf * vocab.idf(fragment)))
-    # Ascending dimension is ascending fragment: the vocabulary's order.
-    return DdcVector(video_id=video.video.id, weights=dict(sorted(entries)),
-                     unknown_fragments=unknown)
+    fragments = sorted(numbers, key=attrgetter("level", "prefix"))
+    n_docs, size = len(enriched), len(fragments)
+    dim_of = np.empty(size, dtype=np.int64)
+    dim_of[[numbers[f] for f in fragments]] = np.arange(size)
+    video = np.repeat(np.arange(n_docs), np.diff(ends))
+    cell_keys, tf = np.unique(
+        video * size + dim_of[np.array(cells, dtype=np.int64)],
+        return_counts=True)
+    rows, dims = np.divmod(cell_keys, size)
+    df = np.bincount(dims, minlength=size)
+    idf = np.array([math.log(n_docs / d) for d in df.tolist()])
+    keep = df[dims] < n_docs
+    rows, dims = rows[keep], dims[keep]
+    return (fragments, np.searchsorted(rows, np.arange(n_docs + 1)), dims,
+            tf[keep] * idf[dims])
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +83,18 @@ DDC_VECTORS_FILES = {"ddc_offsets.npy": np.int64, "ddc_dims.npy": np.int64,
                      "ddc_weights.npy": np.float64}
 
 
-def save_ddc_vectors(vectors: list[DdcVector]):
+def save_vocabulary(fragments: list[Fragment]) -> bytes:
+    """The vocabulary file: a ``level<TAB>prefix`` line per fragment."""
+    return "".join(f"{f.level}\t{f.prefix}\n" for f in fragments).encode()
+
+
+def save_ddc_vectors(offsets, dims, weights):
     """Yield each of the ``DDC_VECTORS_FILES`` as (name, chunks): one
     chunk, the bytes that ``np.save`` writes for its array."""
-    cells = [cell for v in vectors for cell in sorted(v.weights.items())]
-    arrays = (np.cumsum([0] + [len(v.weights) for v in vectors]),
-              [d for d, _ in cells], [w for _, w in cells])
-    for (name, dtype), array in zip(DDC_VECTORS_FILES.items(), arrays):
+    for (name, dtype), array in zip(DDC_VECTORS_FILES.items(),
+                                    (offsets, dims, weights)):
         out = io.BytesIO()
-        np.lib.format.write_array(out, np.array(array, dtype=dtype),
+        np.lib.format.write_array(out, np.asarray(array, dtype=dtype),
                                   allow_pickle=False)
         yield name, [out.getvalue()]
 
@@ -216,7 +149,6 @@ def load_ddc_vectors(directory, data: dict[str, bytes], rows: int,
 
 
 __all__ = [
-    "DdcVector", "FragmentVocabulary",
-    "build_vocabulary", "fragment_counts", "vectorize", "save_ddc_vectors",
+    "fragment_rows", "save_vocabulary", "save_ddc_vectors",
     "load_ddc_vectors", "DDC_VECTORS_FILES",
 ]

@@ -10,9 +10,11 @@ one in its subject is not a triple, and is refused with the line
 quoted.  An IRI with any other escape, with an escape of no character
 (a surrogate, or above U+10FFFF), or that decodes to a character no IRI
 may hold (a code point up to U+0020, or one of ``<>"{}|^`\\``) is
-refused naming the line.  Predicate IRIs are decoded the same way.  A
-literal's ``\\uXXXX`` and ``\\UXXXXXXXX`` escapes take exactly 4 or 8 hex
-digits, and one that names no character is refused as in an IRI.
+refused naming the line, as is an empty subject IRI, ``<>``, in a
+triple that gives a video a field.  Predicate IRIs are decoded the same
+way.  A literal's ``\\uXXXX`` and ``\\UXXXXXXXX`` escapes take exactly 4
+or 8 hex digits, and one that names no character is refused as in an
+IRI.
 Recognized predicates (object must be a literal):
 
     http://purl.org/dc/terms/title          -> title
@@ -162,6 +164,9 @@ def read_ntriples(path) -> list[VideoRecord]:
             value = _unescape(lit, path, line_no)
 
             if subj not in fields:
+                if not subj:
+                    raise ParseError(path, line_no, "subject IRI <> is "
+                                     "empty, and a video id must not be")
                 fields[subj] = {"title": "", "abstract": "",
                                 "language": None, "tags": []}
                 first_line[subj] = line_no

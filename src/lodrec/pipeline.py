@@ -31,14 +31,13 @@ from pathlib import Path
 
 from . import ddc
 from .authority import load_snapshot, enrich
-from .corpus import Corpus, load_corpus, save_corpus
+from .corpus import load_corpus, save_corpus
 from .ddc_vectors import (
     DDC_VECTORS_FILES,
-    build_vocabulary,
-    fragment_counts,
+    fragment_rows,
     load_ddc_vectors,
     save_ddc_vectors,
-    vectorize,
+    save_vocabulary,
 )
 from .embeddings import (
     embed_video,
@@ -197,15 +196,6 @@ def run_ingest(config: PipelineConfig) -> dict:
     }
 
 
-def _load_normalized_corpus(config: PipelineConfig) -> Corpus:
-    corpus_file = config.index_dir / CORPUS_FILE
-    if not corpus_file.exists():
-        raise LodrecError(
-            f"normalized corpus not found at {corpus_file}; run ingest first")
-    return load_corpus(corpus_file, format="jsonl",
-                       language_filter=config.language)
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -228,16 +218,20 @@ def _write(path: Path, chunks) -> str:
 
 def run_index(config: PipelineConfig) -> dict:
     """Build and write all index artifacts, then the manifest that vouches
-    for them; reruns are byte-identical."""
-    corpus = _load_normalized_corpus(config)
+    for them; reruns are byte-identical.  The corpus is read once: the
+    manifest vouches for the bytes the build parsed."""
+    corpus_file = config.index_dir / CORPUS_FILE
+    try:
+        corpus_data = corpus_file.read_bytes()
+    except FileNotFoundError:
+        raise LodrecError(f"normalized corpus not found at {corpus_file}; "
+                          "run ingest first") from None
+    corpus = load_corpus(corpus_file, language_filter=config.language,
+                         data=corpus_data)
     snapshot = load_snapshot(config.snapshot_path)
     enriched = enrich(corpus, snapshot)
-
-    counts = fragment_counts(enriched, config.fragmentation_mode)
-    vocab = build_vocabulary(enriched, config.fragmentation_mode,
-                             counts=counts)
-    ddc_vectors = [vectorize(v, vocab, counts=c)
-                   for v, c in zip(enriched, counts)]
+    fragments, code_ptr, code_dims, code_weights = fragment_rows(
+        enriched, config.fragmentation_mode)
 
     stopwords = (load_stoplist(config.stoplist_path)
                  if config.stoplist_path else None)
@@ -256,9 +250,9 @@ def run_index(config: PipelineConfig) -> dict:
                    for r, toks in zip(corpus.records, tokens)]
 
     out = config.index_dir
-    digests = {CORPUS_FILE: _digest((out / CORPUS_FILE).read_bytes())}
-    for name, chunks in [(VOCABULARY_FILE, [vocab.serialize().encode()]),
-                         *save_ddc_vectors(ddc_vectors),
+    digests = {CORPUS_FILE: _digest(corpus_data)}
+    for name, chunks in [(VOCABULARY_FILE, [save_vocabulary(fragments)]),
+                         *save_ddc_vectors(code_ptr, code_dims, code_weights),
                          (DOC_VECTORS_FILE, save_doc_vectors(doc_vectors))]:
         digests[name] = _write(out / name, chunks)
     # Written last: until it is, a rebuild's files do not match the old
@@ -270,11 +264,11 @@ def run_index(config: PipelineConfig) -> dict:
     unresolved = sum(v.unresolved_count for v in enriched)
     return {
         "videos": len(corpus),
-        "vocabulary_size": len(vocab),
+        "vocabulary_size": len(fragments),
         "fingerprint": fingerprint[:16],
         "resolved_tags": resolved,
         "unresolved_tags": unresolved,
-        "videos_without_codes": sum(1 for v in ddc_vectors if not v.weights),
+        "videos_without_codes": int((code_ptr[1:] == code_ptr[:-1]).sum()),
         "degenerate_doc_vectors": sum(1 for v in doc_vectors if v.degenerate),
         "embedding_dim": table.dim,
         "embedding_rows_read": table.rows_read,

@@ -22,14 +22,11 @@ from lodrec import (
 )
 from lodrec.authority import EnrichedVideo, ResolvedTag
 from lodrec.corpus import Tag, VideoRecord
-from lodrec.ddc import fragment_code, parse_code
+from lodrec.ddc import Fragment, fragment_code, parse_code
 from lodrec.ddc_vectors import (
     DDC_VECTORS_FILES,
-    DdcVector,
-    FragmentVocabulary,
-    build_vocabulary,
+    fragment_rows,
     load_ddc_vectors,
-    vectorize,
 )
 from lodrec.embeddings import DocVector, EmbeddingTable, embed_video
 from lodrec.engine import DEFAULT_WEIGHTS
@@ -126,6 +123,13 @@ def make_enriched(video_codes: dict[str, list[list[str]]],
     return out
 
 
+def code_maps(enriched: list[EnrichedVideo]) -> dict[str, dict[int, float]]:
+    """Each video's row of ``fragment_rows`` as a ``{dim: weight}`` map."""
+    _, ptr, dims, weights = fragment_rows(enriched)
+    return {e.video.id: dict(zip(dims[a:b].tolist(), weights[a:b].tolist()))
+            for e, a, b in zip(enriched, ptr.tolist(), ptr[1:].tolist())}
+
+
 def random_code(rng: random.Random) -> str:
     """A grammar-valid classification code, leading zeros allowed."""
     integer = "".join(rng.choices("0123456789", k=rng.randint(1, 3)))
@@ -151,18 +155,18 @@ def random_embedding_table(rng: random.Random, dim: int = 8,
 
 @dataclass
 class Vectors:
-    """A test corpus as per-video ``DocVector`` and ``DdcVector`` maps, in
-    corpus order: the oracles read the maps, and ``index()`` stacks them
-    into the arrays ``CorpusIndex`` is built from.  A video absent from
-    ``codes`` has no codes."""
+    """A test corpus as per-video ``DocVector`` and ``{dim: weight}``
+    fragment maps, in corpus order: the oracles read the maps, and
+    ``index()`` stacks them into the arrays ``CorpusIndex`` is built from.
+    A video absent from ``codes`` has no codes."""
 
     ids: list[str]
     docs: dict[str, DocVector]
-    codes: dict[str, DdcVector] = field(default_factory=dict)
+    codes: dict[str, dict[int, float]] = field(default_factory=dict)
     weights: tuple[float, float] = DEFAULT_WEIGHTS
 
     def index(self) -> CorpusIndex:
-        rows = [sorted(self.codes[vid].weights.items())
+        rows = [sorted(self.codes[vid].items())
                 if vid in self.codes else [] for vid in self.ids]
         text = (np.stack([self.docs[vid].vector for vid in self.ids])
                 if self.ids else np.empty((0, 0)))
@@ -205,11 +209,9 @@ def random_micro_corpus(rng: random.Random) -> Vectors:
                        for i in range(n_tags)),
         ))
 
-    enriched = make_enriched(video_codes)
-    vocab = build_vocabulary(enriched)
     return Vectors(ids=[r.id for r in records],
                    docs={r.id: embed_video(r, table) for r in records},
-                   codes={e.video.id: vectorize(e, vocab) for e in enriched})
+                   codes=code_maps(make_enriched(video_codes)))
 
 
 def hierarchy_corpus() -> Vectors:
@@ -227,9 +229,7 @@ def hierarchy_corpus() -> Vectors:
         "b1": [["005.74"]],
         "b2": [["560"]],
     }
-    enriched = make_enriched(video_codes)
-    vocab = build_vocabulary(enriched)
-    codes = {e.video.id: vectorize(e, vocab) for e in enriched}
+    codes = code_maps(make_enriched(video_codes))
 
     dim = 4
     table = EmbeddingTable(dim=dim, vectors={
@@ -329,34 +329,29 @@ def _former_fragment_counts(video: EnrichedVideo, mode: str) -> dict:
     return counts
 
 
-def former_build_vocabulary(enriched: list[EnrichedVideo],
-                            mode: str) -> FragmentVocabulary:
+def former_build_vocabulary(enriched: list[EnrichedVideo], mode: str
+                            ) -> tuple[list[Fragment], dict[Fragment, int]]:
     """The vocabulary build as it was first written: each video fragments
-    every one of its codes afresh, and ``df`` counts the set of them."""
+    every one of its codes afresh, and ``df`` counts the set of them.
+    Returns the fragments in vocabulary order, and each one's ``df``."""
     df: dict = {}
     for video in enriched:
         for fragment in set(_former_fragment_counts(video, mode)):
             df[fragment] = df.get(fragment, 0) + 1
-    fragments = sorted(df)
-    return FragmentVocabulary(
-        fragments=fragments, index={f: i for i, f in enumerate(fragments)},
-        df=df, n_docs=len(enriched), mode=mode)
+    return sorted(df), df
 
 
-def former_vectorize(video: EnrichedVideo,
-                     vocab: FragmentVocabulary) -> DdcVector:
-    """``vectorize`` as it was first written: the video's own fragment
-    counts, walked in fragment order, each weight ``tf * vocab.idf``."""
-    weights: dict[int, float] = {}
-    unknown = 0
-    for fragment, tf in sorted(_former_fragment_counts(video,
-                                                       vocab.mode).items()):
-        if fragment not in vocab.index:
-            unknown += 1
-        elif vocab.df[fragment] < vocab.n_docs:
-            weights[vocab.index[fragment]] = tf * vocab.idf(fragment)
-    return DdcVector(video_id=video.video.id, weights=weights,
-                     unknown_fragments=unknown)
+def former_vectorize(video: EnrichedVideo, fragments: list[Fragment],
+                     df: dict[Fragment, int], n_docs: int,
+                     mode: str) -> dict[int, float]:
+    """A video's tf-idf weights by dimension, as ``vectorize`` was first
+    written: the video's own fragment counts, walked in fragment order,
+    each weight ``tf * ln(n_docs / df)``; a fragment in every video is
+    left out."""
+    index = {f: i for i, f in enumerate(fragments)}
+    return {index[f]: tf * math.log(n_docs / df[f])
+            for f, tf in sorted(_former_fragment_counts(video, mode).items())
+            if df[f] < n_docs}
 
 
 # -- reference cosines, the oracles for the kernel, and the kernel on raw
@@ -392,7 +387,6 @@ def kernel_cosines(text=None, codes=None) -> tuple:
     text = text if text is not None else (np.zeros(1), np.zeros(1))
     docs = {vid: DocVector(vid, np.asarray(v, dtype=float), 1, 0)
             for vid, v in zip("ij", text)}
-    ddc = {vid: DdcVector(vid, dict(w))
-           for vid, w in zip("ij", codes or ())}
+    ddc = {vid: dict(w) for vid, w in zip("ij", codes or ())}
     s = combined_similarity(Vectors(["i", "j"], docs, ddc).index(), "i", "j")
     return s.s_text, s.s_ddc

@@ -32,7 +32,7 @@ from lodrec import (
     run_ingest,
 )
 from lodrec.corpus import VideoRecord
-from lodrec.ddc_vectors import build_vocabulary
+from lodrec.ddc_vectors import fragment_rows
 from lodrec.embeddings import embed_video
 from lodrec.pipeline import MANIFEST_FILE
 from lodrec.special import regularized_gamma_q
@@ -90,8 +90,8 @@ def test_acceptance_3_fragment_vocabulary_worked_example(report):
     with report(3, "codes 005.74 and 005.133 fragment into exactly the "
                    "six-entry level-prefix vocabulary"):
         enriched = make_enriched({"w1": [["005.74", "005.133"]]})
-        vocab = build_vocabulary(enriched)
-        assert [(f.level, f.prefix) for f in vocab.fragments] == [
+        fragments = fragment_rows(enriched)[0]
+        assert [(f.level, f.prefix) for f in fragments] == [
             (1, "5"), (2, "51"), (2, "57"),
             (3, "513"), (3, "574"), (4, "5133")]
 
@@ -117,12 +117,12 @@ def test_acceptance_4_sparse_cosine_and_ranking_oracles(report):
         for _ in range(100):
             corpus = random_micro_corpus(rng)
             index = corpus.index()
-            dim = 1 + max((d for v in corpus.codes.values()
-                           for d in v.weights), default=0)
+            dim = 1 + max((d for v in corpus.codes.values() for d in v),
+                          default=0)
 
             def dense(v):
                 arr = np.zeros(dim)
-                for d, w in v.weights.items():
+                for d, w in v.items():
                     arr[d] = w
                 return arr
 

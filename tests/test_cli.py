@@ -95,6 +95,23 @@ class TestIngest:
         assert "run ingest first" in err
 
 
+    def test_empty_subject_iri_is_refused(self, capsys, tmp_path):
+        # Ingest wrote a record with id "", and `index` refused it one step
+        # late, naming the derived corpus.jsonl.
+        lines = (TOY / "corpus.nt").read_text(encoding="utf-8").splitlines()
+        subject = "<http://av.example.org/video/001>"
+        assert lines[3].startswith(subject)
+        lines[3] = lines[3].replace(subject, "<>")
+        corpus = tmp_path / "corpus.nt"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = str(write_toy_config(tmp_path, corpus_path=str(corpus),
+                                      corpus_format="ntriples"))
+        code, out, err = run_cli(capsys, "ingest", "--config", config)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"error: {corpus}:4: subject IRI <> is empty")
+        assert not (tmp_path / "index" / "corpus.jsonl").exists()
+
+
 class TestIndex:
     def test_summary_and_unresolved_warning(self, capsys, toy_config):
         run_cli(capsys, "ingest", "--config", toy_config)

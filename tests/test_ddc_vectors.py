@@ -1,4 +1,4 @@
-"""Fragment vocabulary, tf-idf vectors, and their cosine in the kernel."""
+"""Fragment vocabulary, tf-idf rows, and their cosine in the kernel."""
 
 from __future__ import annotations
 
@@ -7,27 +7,25 @@ import math
 import pickle
 import random
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lodrec import combined_similarity, ddc_vectors, enrich
-from lodrec.ddc import MODES, Fragment
+from lodrec.ddc import DEFAULT_MODE, MODES, Fragment
 from lodrec.ddc_vectors import (
     DDC_VECTORS_FILES,
-    DdcVector,
-    build_vocabulary,
-    fragment_counts,
+    fragment_rows,
     load_ddc_vectors,
     save_ddc_vectors,
-    vectorize,
+    save_vocabulary,
 )
 from lodrec.embeddings import DocVector
 from lodrec.errors import LodrecError
 
 from conftest import (
     Vectors,
+    code_maps,
     former_build_vocabulary,
     former_vectorize,
     kernel_cosines,
@@ -45,161 +43,150 @@ def toy_enriched(toy_corpus, toy_snapshot):
     return enrich(toy_corpus, toy_snapshot)
 
 
+def rows_of(enriched):
+    """The fragment list of ``fragment_rows``, and each video's row as a
+    ``{dim: weight}`` map, by video id."""
+    return fragment_rows(enriched)[0], code_maps(enriched)
+
+
 class TestBuildVocabulary:
     def test_two_code_corpus_has_six_fragments(self):
         enriched = make_enriched({"v1": [["005.74", "005.133"]]})
-        vocab = build_vocabulary(enriched)
-        assert [str(f) for f in vocab.fragments] == WORKED_EXAMPLE
+        fragments, _ = rows_of(enriched)
+        assert [str(f) for f in fragments] == WORKED_EXAMPLE
 
     def test_empty_input(self):
-        assert len(build_vocabulary([])) == 0
+        assert rows_of([]) == ([], {})
 
     def test_duplicate_code_across_videos(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": [["005.74"]]})
-        vocab = build_vocabulary(enriched)
-        assert [str(f) for f in vocab.fragments] == ["5@1", "57@2", "574@3"]
-        assert vocab.df[Fragment(3, "574")] == 2
+        fragments, rows = rows_of(enriched)
+        assert [str(f) for f in fragments] == ["5@1", "57@2", "574@3"]
+        # df = 2 = n_docs for every fragment, 574@3 too: no weight anywhere
+        assert rows == {"v1": {}, "v2": {}}
 
     def test_permutation_invariance(self, toy_enriched):
         rng = random.Random(3)
-        reference = build_vocabulary(toy_enriched)
+        reference = rows_of(toy_enriched)
         for _ in range(5):
             shuffled = toy_enriched[:]
             rng.shuffle(shuffled)
-            permuted = build_vocabulary(shuffled)
-            assert permuted.fragments == reference.fragments
-            assert permuted.df == reference.df
-            assert permuted.serialize() == reference.serialize()
+            assert rows_of(shuffled) == reference
 
-    def test_df_bounds_and_index_bijection(self, toy_enriched):
-        vocab = build_vocabulary(toy_enriched)
-        assert sorted(vocab.index.values()) == list(range(len(vocab)))
-        for fragment in vocab.fragments:
-            assert 1 <= vocab.df[fragment] <= vocab.n_docs
+    def test_fragments_distinct_sorted_and_dims_in_range(self, toy_enriched):
+        fragments, rows = rows_of(toy_enriched)
+        assert fragments == sorted(set(fragments))
+        assert all(0 <= d < len(fragments)
+                   for row in rows.values() for d in row)
 
     def test_n_docs_counts_codeless_videos(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": []})
-        assert build_vocabulary(enriched).n_docs == 2
+        # each fragment of v1 has df 1 of n_docs 2
+        assert rows_of(enriched)[1]["v1"] == {0: math.log(2), 1: math.log(2),
+                                              2: math.log(2)}
 
 
 class TestTermFrequency:
     """A weight divided by its idf is the fragment's occurrence count."""
 
     @staticmethod
-    def tf(video, fragment, vocab):
-        return vectorize(video, vocab).weights.get(
-            vocab.index[fragment], 0.0) / vocab.idf(fragment)
+    def tf(enriched, vid, fragment):
+        fragments, rows = rows_of(enriched)
+        _, df = former_build_vocabulary(enriched, DEFAULT_MODE)
+        idf = math.log(len(enriched) / df[fragment])
+        return rows[vid].get(fragments.index(fragment), 0.0) / idf
 
     def test_both_codes_contribute_shared_prefix(self):
         enriched = make_enriched({"v1": [["005.74", "005.133"]],
                                   "v2": [["230"]]})
-        vocab = build_vocabulary(enriched)
-        assert self.tf(enriched[0], Fragment(1, "5"), vocab) == 2
+        assert self.tf(enriched, "v1", Fragment(1, "5")) == 2
 
     def test_deep_fragment_counted_once(self):
         enriched = make_enriched({"v1": [["005.74", "005.133"]],
                                   "v2": [["230"]]})
-        vocab = build_vocabulary(enriched)
-        assert self.tf(enriched[0], Fragment(4, "5133"), vocab) == 1
+        assert self.tf(enriched, "v1", Fragment(4, "5133")) == 1
 
     def test_video_without_tags_counts_zero(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": []})
-        vocab = build_vocabulary(enriched)
-        assert self.tf(enriched[1], Fragment(1, "5"), vocab) == 0
+        assert self.tf(enriched, "v2", Fragment(1, "5")) == 0
 
 
 class TestVectorize:
     def test_everywhere_fragment_gets_no_weight(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": [["005.133"]]})
-        vocab = build_vocabulary(enriched)
-        shared_dim = vocab.index[Fragment(1, "5")]
-        for e in enriched:
-            assert shared_dim not in vectorize(e, vocab).weights
+        fragments, rows = rows_of(enriched)
+        shared_dim = fragments.index(Fragment(1, "5"))
+        for row in rows.values():
+            assert shared_dim not in row
 
     def test_unique_fragment_weight_is_ln2(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": [["005.133"]]})
-        vocab = build_vocabulary(enriched)
-        v1 = vectorize(enriched[0], vocab)
-        assert v1.weights[vocab.index[Fragment(3, "574")]] == math.log(2)
+        fragments, rows = rows_of(enriched)
+        assert rows["v1"][fragments.index(Fragment(3, "574"))] == math.log(2)
 
     def test_codeless_video_yields_empty_vector(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": []})
-        vocab = build_vocabulary(enriched)
-        empty = vectorize(enriched[1], vocab)
-        assert empty.weights == {}
+        assert rows_of(enriched)[1]["v2"] == {}
 
     def test_weights_positive_dims_in_range(self, toy_enriched):
-        vocab = build_vocabulary(toy_enriched)
-        for e in toy_enriched:
-            vector = vectorize(e, vocab)
-            for dim, weight in vector.weights.items():
-                assert 0 <= dim < len(vocab)
-                assert weight > 0
+        fragments, ptr, dims, weights = fragment_rows(toy_enriched)
+        assert ((0 <= dims) & (dims < len(fragments))).all()
+        assert (weights > 0).all()
 
     def test_tf_reflects_tag_multiplicity(self):
         enriched = make_enriched({"v1": [["005.74"], ["005.74"]],
                                   "v2": [["005.133"]]})
-        vocab = build_vocabulary(enriched)
-        v1 = vectorize(enriched[0], vocab)
-        assert v1.weights[vocab.index[Fragment(3, "574")]] == 2 * math.log(2)
-
-    def test_foreign_fragments_skipped_and_counted(self):
-        vocab = build_vocabulary(make_enriched({"v1": [["005.74"]]}))
-        outsider = make_enriched({"v9": [["530.12", "005.74"]]})[0]
-        vector = vectorize(outsider, vocab)
-        assert vector.unknown_fragments == 4  # 53, 530, 5301, 53012
-        assert vector.weights == {}  # known fragments all have df = n_docs
+        fragments, rows = rows_of(enriched)
+        assert rows["v1"][fragments.index(Fragment(3, "574"))] == \
+            2 * math.log(2)
 
 
 def s_ddc(v_i, v_j):
-    """The kernel's code-route cosine of two fragment vectors."""
-    v_i, v_j = replace(v_i, video_id="i"), replace(v_j, video_id="j")
+    """The kernel's code-route cosine of two ``{dim: weight}`` rows."""
     docs = {vid: DocVector(vid, np.zeros(1), 0, 0) for vid in "ij"}
     index = Vectors(["i", "j"], docs, {"i": v_i, "j": v_j}).index()
     return combined_similarity(index, "i", "j").s_ddc
 
 
-def random_coded_videos(rng: random.Random, n: int,
-                        prefix: str = "v") -> list:
+def random_coded_videos(rng: random.Random, n: int) -> list:
     """Enriched videos drawing codes from a small shared pool: codes
     repeat within a tag, across tags and across videos, and some videos
     have no tags, or tags without codes."""
     pool = [random_code(rng) for _ in range(12)]
     return make_enriched({
-        f"{prefix}{i}": [rng.choices(pool, k=rng.randint(0, 3))
-                         for _ in range(rng.randint(0, 4))]
+        f"v{i}": [rng.choices(pool, k=rng.randint(0, 3))
+                  for _ in range(rng.randint(0, 4))]
         for i in range(n)})
 
 
+# Corpora at the edges, by name: in all but one, every row is empty.
+EDGE_CASES = {
+    "no-videos": {},
+    "one-video": {"v1": [["005.74", "005.133"], ["005.74"]]},
+    "videos-without-codes": {"v1": [], "v2": [["005.74"]], "v3": [[]],
+                             "v4": [["530", "005.133"]]},
+    "empty-vocabulary": {"v1": [], "v2": [[], []]},
+}
+
+
 class TestSharedFragmentPath:
-    """``fragment_counts`` fragments each distinct code once and counts
-    each video once for both ``build_vocabulary`` and ``vectorize``; the
-    result equals the former per-video path (in tests/conftest.py)."""
+    """``fragment_rows`` fragments each distinct code once, and its
+    vocabulary and rows equal the former per-video build (in
+    tests/conftest.py)."""
 
     @staticmethod
-    def assert_same_as_former(enriched, mode, outsiders=()):
-        former = former_build_vocabulary(enriched, mode)
-        counts = fragment_counts(enriched, mode)
-        for vocab in (build_vocabulary(enriched, mode),
-                      build_vocabulary(enriched, mode, counts=counts)):
-            assert vocab.fragments == former.fragments
-            assert vocab.index == former.index
-            assert vocab.df == former.df
-            assert (vocab.n_docs, vocab.mode) == (former.n_docs, mode)
-            assert vocab.serialize() == former.serialize()
-            for video, c in zip(enriched, counts):
-                expected = former_vectorize(video, former)
-                for got in (vectorize(video, vocab),
-                            vectorize(video, vocab, counts=c)):
-                    assert list(got.weights.items()) == \
-                        list(expected.weights.items())
-                    assert got.unknown_fragments == 0
-            for video in outsiders:
-                expected = former_vectorize(video, former)
-                got = vectorize(video, vocab)
-                assert list(got.weights.items()) == \
-                    list(expected.weights.items())
-                assert got.unknown_fragments == expected.unknown_fragments
+    def assert_same_as_former(enriched, mode):
+        fragments, df = former_build_vocabulary(enriched, mode)
+        got, ptr, dims, weights = fragment_rows(enriched, mode)
+        assert got == fragments
+        assert (ptr.dtype, dims.dtype, weights.dtype) == \
+            (np.int64, np.int64, np.float64)
+        assert len(ptr) == len(enriched) + 1 and ptr[0] == 0
+        for video, a, b in zip(enriched, ptr.tolist(), ptr[1:].tolist()):
+            expected = former_vectorize(video, fragments, df, len(enriched),
+                                        mode)
+            assert list(zip(dims[a:b].tolist(), weights[a:b].tolist())) == \
+                list(expected.items())
 
     @pytest.mark.parametrize("mode", MODES)
     def test_toy_data(self, toy_enriched, mode):
@@ -208,15 +195,31 @@ class TestSharedFragmentPath:
     @pytest.mark.parametrize("mode", MODES)
     def test_random_videos(self, mode):
         rng = random.Random(61)
-        unknown = 0
         for _ in range(40):
-            enriched = random_coded_videos(rng, rng.randint(1, 12))
-            outsiders = random_coded_videos(rng, 3, prefix="x")
-            self.assert_same_as_former(enriched, mode, outsiders)
-            vocab = build_vocabulary(enriched, mode)
-            unknown += sum(vectorize(v, vocab).unknown_fragments
-                           for v in outsiders)
-        assert unknown > 0  # the outsiders did reach beyond the vocabulary
+            self.assert_same_as_former(
+                random_coded_videos(rng, rng.randint(1, 12)), mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases(self, case, mode):
+        enriched = make_enriched(EDGE_CASES[case])
+        self.assert_same_as_former(enriched, mode)
+        fragments, ptr, dims, weights = fragment_rows(enriched, mode)
+        empty_rows = int((np.diff(ptr) == 0).sum())
+        if case == "videos-without-codes":
+            assert 0 < empty_rows < len(enriched) and len(fragments) > 0
+        else:  # every row empty
+            assert empty_rows == len(enriched)
+            assert dims.size == weights.size == 0
+            assert (len(fragments) > 0) == (case == "one-video")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_idf_is_math_log(self, mode):
+        # numpy's SIMD log can differ from math.log in the last bit: with
+        # AVX-512 loops it does at 21 / 20, a df of 20 in 21 videos.
+        enriched = make_enriched({f"v{i}": [["530"]] if i else []
+                                  for i in range(21)})
+        self.assert_same_as_former(enriched, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_distinct_code_fragmented_once(self, monkeypatch, mode):
@@ -229,13 +232,13 @@ class TestSharedFragmentPath:
 
         monkeypatch.setattr(ddc_vectors, "fragment_code", counted)
         enriched = random_coded_videos(random.Random(67), 30)
-        counts = fragment_counts(enriched, mode)
+        _, ptr, _, _ = fragment_rows(enriched, mode)
         codes = [c.digits for v in enriched for r in v.resolved
                  for c in r.ddc_codes]
         assert len(codes) > len(set(codes))
         assert sorted(calls) == sorted(set(codes))
-        assert len(counts) == len(enriched)
-        assert not all(counts)  # videos without codes count nothing
+        assert len(ptr) == len(enriched) + 1
+        assert (np.diff(ptr) == 0).any()  # videos without codes: no cells
 
 
 class TestCosine:
@@ -296,21 +299,16 @@ class TestDdcSimilarity:
     def test_identical_vectors(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": [["005.74"]],
                                   "v3": [["530"]]})
-        vocab = build_vocabulary(enriched)
-        v1, v2 = (vectorize(e, vocab) for e in enriched[:2])
-        assert s_ddc(v1, v2) == pytest.approx(1.0, abs=1e-12)
+        rows = code_maps(enriched)
+        assert s_ddc(rows["v1"], rows["v2"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
         enriched = make_enriched({"v1": [["230"]], "v2": [["530"]]})
-        vocab = build_vocabulary(enriched)
-        v1, v2 = (vectorize(e, vocab) for e in enriched)
-        assert s_ddc(v1, v2) == 0.0
+        assert s_ddc(*code_maps(enriched).values()) == 0.0
 
     def test_empty_vector_is_undefined(self):
         enriched = make_enriched({"v1": [["005.74"]], "v2": []})
-        vocab = build_vocabulary(enriched)
-        v1, v2 = (vectorize(e, vocab) for e in enriched)
-        assert s_ddc(v1, v2) is None
+        assert s_ddc(*code_maps(enriched).values()) is None
 
     def test_deep_overlap_beats_shallow_overlap(self):
         # a-pair shares levels 1-3, b-pair only level 1 (which is universal
@@ -319,18 +317,16 @@ class TestDdcSimilarity:
             "a1": [["005.74"]], "a2": [["005.745"]],
             "b1": [["530"]], "b2": [["560"]],
         })
-        vocab = build_vocabulary(enriched)
-        vectors = {e.video.id: vectorize(e, vocab) for e in enriched}
-        deep = s_ddc(vectors["a1"], vectors["a2"])
-        shallow = s_ddc(vectors["b1"], vectors["b2"])
+        rows = code_maps(enriched)
+        deep = s_ddc(rows["a1"], rows["a2"])
+        shallow = s_ddc(rows["b1"], rows["b2"])
         assert deep > shallow
         assert shallow == 0.0
 
     def test_symmetric_and_in_unit_interval(self, toy_enriched):
-        vocab = build_vocabulary(toy_enriched)
-        vectors = [vectorize(e, vocab) for e in toy_enriched]
-        for i, v_i in enumerate(vectors):
-            for v_j in vectors[i:]:
+        rows = list(code_maps(toy_enriched).values())
+        for i, v_i in enumerate(rows):
+            for v_j in rows[i:]:
                 s = s_ddc(v_i, v_j)
                 assert s == s_ddc(v_j, v_i)
                 if s is not None:
@@ -341,65 +337,57 @@ class TestDdcSimilarity:
                               "v2": [["005.133"], ["510"]]})
         tripled = make_enriched({"v1": [["005.74"]] * 3 + [["510"]] * 3,
                                  "v2": [["005.133"]] * 3 + [["510"]] * 3})
-        s_base = s_ddc(*(vectorize(e, build_vocabulary(base))
-                         for e in base))
-        s_tripled = s_ddc(*(vectorize(e, build_vocabulary(tripled))
-                            for e in tripled))
+        s_base = s_ddc(*code_maps(base).values())
+        s_tripled = s_ddc(*code_maps(tripled).values())
         assert s_tripled == pytest.approx(s_base, abs=1e-12)
 
 
 class TestSerialization:
     def test_vocabulary_file_has_one_line_per_fragment(self):
         enriched = make_enriched({"v1": [["005.74", "005.133"]]})
-        lines = build_vocabulary(enriched).serialize().splitlines()
-        assert lines == ["1\t5", "2\t51", "2\t57", "3\t513", "3\t574",
-                         "4\t5133"]
+        lines = save_vocabulary(fragment_rows(enriched)[0]).splitlines()
+        assert lines == [b"1\t5", b"2\t51", b"2\t57", b"3\t513", b"3\t574",
+                         b"4\t5133"]
 
     def test_vector_round_trip_is_exact(self, tmp_path, toy_enriched):
-        vocab = build_vocabulary(toy_enriched)
-        vectors = [vectorize(e, vocab) for e in toy_enriched]
-        data = serialized(vectors)
+        fragments, *rows = fragment_rows(toy_enriched)
+        data = serialized(*rows)
         assert list(data) == list(DDC_VECTORS_FILES)
-        ptr, dims, weights = load_ddc_vectors(tmp_path, data, len(vectors),
-                                              len(vocab))
-        assert (ptr.dtype, dims.dtype, weights.dtype) == \
-            (np.intp, np.intp, np.float64)
-        assert [list(zip(dims[a:b].tolist(), weights[a:b].tolist()))
-                for a, b in zip(ptr, ptr[1:])] == \
-            [sorted(v.weights.items()) for v in vectors]
+        loaded = load_ddc_vectors(tmp_path, data, len(toy_enriched),
+                                  len(fragments))
+        assert [a.dtype for a in loaded] == [np.intp, np.intp, np.float64]
+        assert [a.tolist() for a in loaded] == [a.tolist() for a in rows]
 
     def test_rows_without_codes_round_trip(self, tmp_path):
-        data = serialized([DdcVector("a", {}), DdcVector("b", {2: 0.5}),
-                           DdcVector("c", {})])
+        data = serialized([0, 0, 1, 1], [2], [0.5])
         ptr, dims, weights = load_ddc_vectors(tmp_path, data, 3, 3)
         assert ptr.tolist() == [0, 0, 1, 1]
         assert (dims.tolist(), weights.tolist()) == ([2], [0.5])
 
     def test_data_is_parsed_in_place_of_the_files(self, tmp_path):
         save_csr(tmp_path, [0, 1], [1], [0.5])
-        data = serialized([DdcVector("b", {3: 2.0})])
+        data = serialized([0, 1], [3], [2.0])
         _, dims, weights = load_ddc_vectors(tmp_path, data, 1, 4)
         assert (dims.tolist(), weights.tolist()) == ([3], [2.0])
 
     def test_writes_the_former_writers_bytes(self, tmp_path, toy_enriched):
-        vocab = build_vocabulary(toy_enriched)
-        vectors = [vectorize(e, vocab) for e in toy_enriched]
-        vectors.insert(1, DdcVector("no-codes", {}))
-        # The former writer: one np.save per file, straight to its path.
-        cells = [cell for v in vectors for cell in sorted(v.weights.items())]
-        arrays = (np.cumsum([0] + [len(v.weights) for v in vectors]),
+        rows = list(code_maps(toy_enriched).values())
+        rows.insert(1, {})
+        cells = [cell for row in rows for cell in sorted(row.items())]
+        arrays = (np.cumsum([0] + [len(row) for row in rows]),
                   [d for d, _ in cells], [w for _, w in cells])
+        # The former writer: one np.save per file, straight to its path.
         for (name, dtype), array in zip(DDC_VECTORS_FILES.items(), arrays):
             np.save(tmp_path / name, np.array(array, dtype=dtype),
                     allow_pickle=False)
-        assert serialized(vectors) == {
+        assert serialized(*arrays) == {
             name: (tmp_path / name).read_bytes() for name in DDC_VECTORS_FILES}
 
 
-def serialized(vectors) -> dict[str, bytes]:
+def serialized(ptr, dims, weights) -> dict[str, bytes]:
     """``save_ddc_vectors`` as the bytes of each file, by name."""
     return {name: b"".join(chunks)
-            for name, chunks in save_ddc_vectors(vectors)}
+            for name, chunks in save_ddc_vectors(ptr, dims, weights)}
 
 
 def save_csr(directory, ptr, dims, weights, **replaced):

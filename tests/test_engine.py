@@ -28,7 +28,6 @@ from lodrec import (
     recommend,
     write_matrix_tsv,
 )
-from lodrec.ddc_vectors import DdcVector
 from lodrec.embeddings import DocVector
 from lodrec.engine import _score_row, matrix_blocks
 
@@ -83,10 +82,7 @@ class TestCombinedSimilarity:
     def test_mean_of_both_branches(self):
         # both cosines exactly 0.8: (4,3)x(1,0) and {1.5,2}x{0,2.5}
         docs = two_doc_vectors([4.0, 3.0], [1.0, 0.0])
-        s = pair_similarity(
-            docs,
-            {"i": _sparse("i", {0: 1.5, 1: 2.0}),
-             "j": _sparse("j", {1: 2.5})})
+        s = pair_similarity(docs, {"i": {0: 1.5, 1: 2.0}, "j": {1: 2.5}})
         assert s.s_text == 0.8
         assert s.s_ddc == 0.8
         assert s.s_lod == 0.8
@@ -95,9 +91,7 @@ class TestCombinedSimilarity:
 
     def test_fallback_to_text_branch(self):
         docs = two_doc_vectors([4.0, 3.0], [1.0, 0.0])
-        s = pair_similarity(docs,
-                            {"i": _sparse("i", {0: 1.0}),
-                             "j": _sparse("j", {})})
+        s = pair_similarity(docs, {"i": {0: 1.0}, "j": {}})
         assert s.s_ddc is None
         assert s.s_lod == s.s_text == 0.8
         assert s.fallback_applied
@@ -105,9 +99,7 @@ class TestCombinedSimilarity:
     def test_fallback_to_fragment_branch(self):
         docs = {"i": DocVector("i", np.zeros(2), 0, 1),
                 "j": DocVector("j", np.array([1.0, 0.0]), 1, 0)}
-        s = pair_similarity(docs,
-                            {"i": _sparse("i", {0: 1.0}),
-                             "j": _sparse("j", {0: 2.0})})
+        s = pair_similarity(docs, {"i": {0: 1.0}, "j": {0: 2.0}})
         assert s.s_text is None
         assert s.s_lod == s.s_ddc == pytest.approx(1.0, abs=1e-12)
         assert s.fallback_applied
@@ -121,9 +113,8 @@ class TestCombinedSimilarity:
 
     def test_self_pair_scores_one(self):
         docs = two_doc_vectors([1.0, 2.0], [1.0, 2.0])
-        s = pair_similarity(docs,
-                            {"i": _sparse("i", {0: 1.0, 2: 0.5}),
-                             "j": _sparse("j", {0: 1.0, 2: 0.5})})
+        s = pair_similarity(docs, {"i": {0: 1.0, 2: 0.5},
+                                   "j": {0: 1.0, 2: 0.5}})
         assert s.s_lod == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_mean_invariant_on_random_indices(self):
@@ -139,7 +130,7 @@ class TestCombinedSimilarity:
 
     def test_custom_weights(self):
         docs = two_doc_vectors([4.0, 3.0], [1.0, 0.0])
-        ddc = {"i": _sparse("i", {0: 1.0}), "j": _sparse("j", {0: 3.0})}
+        ddc = {"i": {0: 1.0}, "j": {0: 3.0}}
         s = pair_similarity(docs, ddc, weights=(1.0, 3.0))
         assert s.s_lod == (1.0 * s.s_text + 3.0 * s.s_ddc) / 4.0
 
@@ -189,8 +180,7 @@ class TestKernel:
                     for got, ref in (
                             (s.s_text, text_ref),
                             (s.s_ddc, sparse_cosine(
-                                corpus.codes[i].weights,
-                                corpus.codes[j].weights))):
+                                corpus.codes[i], corpus.codes[j]))):
                         if ref is None:
                             assert got is None
                         else:
@@ -249,10 +239,6 @@ class TestKernel:
             replace(base, docs=docs).index()
 
 
-def _sparse(vid, weights):
-    return DdcVector(video_id=vid, weights=weights)
-
-
 def _with_ghost(corpus: Vectors) -> Vectors:
     """``corpus`` plus a video with neither text nor fragment evidence."""
     dim = next(iter(corpus.docs.values())).vector.shape[0]
@@ -260,8 +246,7 @@ def _with_ghost(corpus: Vectors) -> Vectors:
         corpus, ids=corpus.ids + ["ghost"],
         docs={**corpus.docs,
               "ghost": DocVector("ghost", np.zeros(dim), 0, 2)},
-        codes={**corpus.codes,
-               "ghost": DdcVector(video_id="ghost", weights={})})
+        codes={**corpus.codes, "ghost": {}})
 
 
 class TestRecommend:
@@ -441,7 +426,7 @@ def _with_reuploads(corpus: Vectors, vids: list[str],
             ids.insert(rng.randint(0, len(ids)), copy)
             docs[copy] = replace(docs[vid], video_id=copy)
             if vid in codes:
-                codes[copy] = replace(codes[vid], video_id=copy)
+                codes[copy] = codes[vid]
     return replace(corpus, ids=ids, docs=docs, codes=codes)
 
 
@@ -742,8 +727,8 @@ class TestTextRoute:
     def test_pair_scores_equal_the_recommend_row_at_odd_dim(self):
         rng = np.random.default_rng(107)
         text = _random_text_corpus(rng, n=60, dim=301)
-        codes = {vid: DdcVector(vid, {int(d): float(rng.random())
-                                      for d in rng.choice(12, 3)})
+        codes = {vid: {int(d): float(rng.random())
+                       for d in rng.choice(12, 3)}
                  for vid in text.ids if rng.random() < 0.7}
         index = replace(text, codes=codes, weights=(0.3, 0.9)).index()
         for query in rng.choice(index.ids, 8, replace=False).tolist():
@@ -779,8 +764,8 @@ def _three_block_index() -> CorpusIndex:
     video with no evidence."""
     rng = np.random.default_rng(137)
     text = _random_text_corpus(rng, n=125, dim=7)
-    codes = {vid: DdcVector(vid, {int(d): float(rng.random())
-                                  for d in rng.choice(12, 3)})
+    codes = {vid: {int(d): float(rng.random())
+                   for d in rng.choice(12, 3)}
              for vid in text.ids if rng.random() < 0.7}
     corpus = replace(text, codes=codes, weights=(0.3, 0.9))
     return _with_ghost(_with_reuploads(
@@ -796,8 +781,8 @@ def _one_route_blocks_index() -> CorpusIndex:
     rows = engine.MATRIX_BLOCK_ROWS
     docs = {vid: replace(doc, tokens_used=0) if rows <= r < 2 * rows
             else doc for r, (vid, doc) in enumerate(corpus.docs.items())}
-    codes = {vid: DdcVector(vid, {int(d): float(rng.random())
-                                  for d in rng.choice(12, 3)})
+    codes = {vid: {int(d): float(rng.random())
+                   for d in rng.choice(12, 3)}
              for vid in corpus.ids[rows:] if rng.random() < 0.8}
     return replace(corpus, docs=docs, codes=codes).index()
 

@@ -291,6 +291,22 @@ class TestErrors:
             read_ntriples(write_nt(tmp_path, lines))
 
 
+    def test_empty_subject_iri_is_refused_naming_the_line(self, tmp_path):
+        # It was read as a video with id "", which `index` then refused,
+        # naming the derived corpus.jsonl.
+        lines = [*minimal(), f'<> {TITLE} "Titel" .', f'<> {LANG} "de" .']
+        path = write_nt(tmp_path, lines)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:3: subject IRI <> is empty, and a video id must "
+                "not be")):
+            read_ntriples(path)
+
+    def test_empty_subject_iri_without_a_field_is_skipped(self, tmp_path):
+        lines = [*minimal(), f"<> {TITLE} <http://example.org/x> ."]
+        assert [r.id for r in read_ntriples(write_nt(tmp_path, lines))] == \
+            ["http://example.org/v1"]
+
+
 class TestIriEscapes:
     """A subject or predicate IRI has its \\u and \\U escapes decoded, as
     the IRIREF rule of N-Triples allows; no other escape, and no

@@ -61,6 +61,11 @@ def save_rows(index_dir: Path, rows) -> None:
         np.save(index_dir / name, array)
 
 
+def toy_corpus_lines() -> list[str]:
+    return (TOY / "corpus.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+
+
 def vouch_for(index_dir: Path, *names: str) -> None:
     """Make the manifest list the current digests of ``names``."""
     manifest = index_dir / MANIFEST_FILE
@@ -230,6 +235,18 @@ class TestIngestAndIndex:
         assert summary["embedding_dim"] == 16
         assert summary["embedding_rows_read"] == 83
         assert len(summary["fingerprint"]) == 16
+
+    def test_one_video_index_summary(self, tmp_path):
+        # Each fragment of the only video is in every video: idf 0, so its
+        # row is empty, though the vocabulary is not.
+        one = tmp_path / "one.jsonl"
+        one.write_text(toy_corpus_lines()[0], encoding="utf-8")
+        config = load_config(write_config(tmp_path, corpus_path=str(one)))
+        run_ingest(config)
+        summary = run_index(config)
+        assert (summary["videos"], summary["videos_without_codes"]) == (1, 1)
+        assert summary["vocabulary_size"] > 0
+        assert not load_index(config).has_codes.any()
 
     def test_index_before_ingest(self, config):
         with pytest.raises(LodrecError, match="run ingest first"):
@@ -483,6 +500,29 @@ class TestLoadIndex:
                                 "title": "Neue Vorlesung", "abstract": "",
                                 "tags": []}) + "\n")
         run_ingest(config)
+        with pytest.raises(LodrecError, match=r"corpus\.jsonl: differs from "
+                           "its digest .*: ingest ran again after the last "
+                           "index; run index again"):
+            load_index(config)
+
+    def test_ingest_during_index_is_not_vouched_for(self, tmp_path,
+                                                    monkeypatch):
+        # The build parsed one read of corpus.jsonl and hashed a second
+        # one, so the manifest vouched for an ingest that landed in between,
+        # though the build never read it.
+        config = load_config(write_config(tmp_path))
+        run_ingest(config)
+        three = tmp_path / "three.jsonl"
+        three.write_text("".join(toy_corpus_lines()[:3]), encoding="utf-8")
+        original = pipeline.load_snapshot
+
+        def ingest_then_load(path):
+            reingest = override_config(config, corpus_path=three)
+            assert run_ingest(reingest)["retained"] == 3
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "load_snapshot", ingest_then_load)
+        assert run_index(config)["videos"] == 8
         with pytest.raises(LodrecError, match=r"corpus\.jsonl: differs from "
                            "its digest .*: ingest ran again after the last "
                            "index; run index again"):
