@@ -103,7 +103,9 @@ def _cmd_index(args) -> int:
     config = _config_from_args(args, fragmentation_mode=args.mode,
                                limit_embeddings=args.limit_embeddings)
     summary = run_index(config)
-    if summary["vocabulary_size"] == 0:
+    if summary["videos"] == 0:
+        _warn("the corpus has no videos; the index is empty")
+    elif summary["vocabulary_size"] == 0:
         _warn("no tags resolved to classification codes; "
               "vocabulary is empty and all similarity falls back to text")
     if summary["unresolved_tags"]:

@@ -208,74 +208,57 @@ def load_stoplist(path) -> set[str]:
     return stop
 
 
-@dataclass
-class DocVector:
-    """Mean word vector for one video.
-
-    A video whose tokens are all out-of-vocabulary has the zero vector
-    and is flagged degenerate; its text similarity is undefined rather
-    than zero.
-    """
-
-    video_id: str
-    vector: np.ndarray
-    tokens_used: int
-    tokens_missed: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.tokens_used == 0
-
-
 def video_tokens(video: VideoRecord,
                  stopwords: set[str] | None = None) -> list[str]:
     """Token occurrences of title, tag surfaces and abstract, stopwords out:
-    the words ``embed_video`` looks up in the table."""
-    texts = [video.title, *(t.surface for t in video.tags), video.abstract]
-    tokens = [tok for text in texts for tok in tokenize(text)]
+    the words ``doc_vectors`` looks up in the table.  One ``tokenize`` call
+    takes the fields joined by a line feed, which is no word character
+    and composes with nothing under NFC, so no token spans two fields."""
+    tokens = tokenize("\n".join(
+        [video.title, *(t.surface for t in video.tags), video.abstract]))
     if stopwords:
         tokens = [tok for tok in tokens if tok not in stopwords]
     return tokens
 
 
-def embed_video(video: VideoRecord, table: EmbeddingTable,
-                stopwords: set[str] | None = None, *,
-                tokens: list[str] | None = None) -> DocVector:
-    """Mean of the table vectors over all token occurrences.
+def doc_vectors(tokens: list[list[str]], table: EmbeddingTable
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each video's mean word vector, from its token occurrences
+    ``tokens[r]``, as ``(used, missed, vectors)``: two (N,) int arrays,
+    the tokens found in the table and not, and the (N, D) matrix.
 
     Title, tag surfaces, and abstract contribute equally; duplicated
-    tokens count with multiplicity.  Found tokens are accumulated in
-    sorted order so the mean is bit-for-bit invariant under permutations
-    of the input words.  A caller that already holds
-    ``video_tokens(video, stopwords)`` passes it as ``tokens``.
+    tokens count with multiplicity.  Found tokens are added in sorted
+    order, so the mean is bit-for-bit invariant under permutations of
+    the input words.  A video with no token found has the zero vector
+    and ``used`` 0; its text similarity is undefined rather than zero.
     """
-    if tokens is None:
-        tokens = video_tokens(video, stopwords)
-    vectors = table.vectors
-    found = sorted(filter(vectors.__contains__, tokens))
-    missed = len(tokens) - len(found)
-    if not found:
-        return DocVector(video_id=video.id,
-                         vector=np.zeros(table.dim, dtype=np.float64),
-                         tokens_used=0, tokens_missed=missed)
-    # One row per occurrence; the sum adds them in this order.
-    stacked = np.array([vectors[tok] for tok in found])
-    mean = stacked.sum(axis=0) / len(found)
-    return DocVector(video_id=video.id, vector=mean,
-                     tokens_used=len(found), tokens_missed=missed)
+    rows = table.vectors
+    used = np.zeros(len(tokens), dtype=np.int64)
+    missed = np.zeros(len(tokens), dtype=np.int64)
+    vectors = np.zeros((len(tokens), table.dim))
+    for r, toks in enumerate(tokens):
+        found = sorted(filter(rows.__contains__, toks))
+        used[r], missed[r] = len(found), len(toks) - len(found)
+        if found:
+            # One row per occurrence; the sum adds them in this order.
+            vectors[r] = np.array([rows[tok] for tok in found]
+                                  ).sum(axis=0) / len(found)
+    return used, missed, vectors
 
 
 # ---------------------------------------------------------------------------
 # Cache file: video_id<TAB>tokens_used<TAB>tokens_missed<TAB>v1,...,v_dim
 
-def save_doc_vectors(vectors: list[DocVector]):
+def save_doc_vectors(ids: list[str], used: np.ndarray, missed: np.ndarray,
+                     vectors: np.ndarray):
     """Yield the cache one UTF-8 row at a time, each component as the
     ``repr`` of its float64 value, so the text reads back to the same bits;
-    ``tolist`` and ``map`` keep the loop in C."""
-    for v in vectors:
-        components = np.asarray(v.vector, dtype=np.float64).tolist()
-        cells = ",".join(map(repr, components))
-        yield f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}\t{cells}\n".encode()
+    ``tolist`` of one row and ``map`` keep the loop in C without holding
+    every component as a Python float at once."""
+    for vid, u, m, row in zip(ids, used.tolist(), missed.tolist(), vectors):
+        cells = ",".join(map(repr, row.tolist()))
+        yield f"{vid}\t{u}\t{m}\t{cells}\n".encode()
 
 
 def load_doc_vectors(path, data) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -313,7 +296,7 @@ def load_doc_vectors(path, data) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 __all__ = [
-    "DocVector", "EmbeddingTable",
-    "embed_video", "load_doc_vectors", "load_embeddings", "load_stoplist",
+    "EmbeddingTable",
+    "doc_vectors", "load_doc_vectors", "load_embeddings", "load_stoplist",
     "save_doc_vectors", "tokenize", "video_tokens",
 ]

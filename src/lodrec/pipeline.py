@@ -40,7 +40,7 @@ from .ddc_vectors import (
     save_vocabulary,
 )
 from .embeddings import (
-    embed_video,
+    doc_vectors,
     load_doc_vectors,
     load_embeddings,
     load_stoplist,
@@ -246,14 +246,15 @@ def run_index(config: PipelineConfig) -> dict:
         check_text_dim(table.dim)
     except ValueError as e:
         raise LodrecError(f"{config.embeddings_path}: {e}") from None
-    doc_vectors = [embed_video(r, table, tokens=toks)
-                   for r, toks in zip(corpus.records, tokens)]
+    tokens_used, tokens_missed, text = doc_vectors(tokens, table)
 
     out = config.index_dir
     digests = {CORPUS_FILE: _digest(corpus_data)}
     for name, chunks in [(VOCABULARY_FILE, [save_vocabulary(fragments)]),
                          *save_ddc_vectors(code_ptr, code_dims, code_weights),
-                         (DOC_VECTORS_FILE, save_doc_vectors(doc_vectors))]:
+                         (DOC_VECTORS_FILE, save_doc_vectors(
+                             [r.id for r in corpus.records], tokens_used,
+                             tokens_missed, text))]:
         digests[name] = _write(out / name, chunks)
     # Written last: until it is, a rebuild's files do not match the old
     # manifest, so a build that stops halfway cannot be loaded.
@@ -269,7 +270,7 @@ def run_index(config: PipelineConfig) -> dict:
         "resolved_tags": resolved,
         "unresolved_tags": unresolved,
         "videos_without_codes": int((code_ptr[1:] == code_ptr[:-1]).sum()),
-        "degenerate_doc_vectors": sum(1 for v in doc_vectors if v.degenerate),
+        "degenerate_doc_vectors": int((tokens_used == 0).sum()),
         "embedding_dim": table.dim,
         "embedding_rows_read": table.rows_read,
         "index_dir": str(config.index_dir),

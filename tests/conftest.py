@@ -28,7 +28,7 @@ from lodrec.ddc_vectors import (
     fragment_rows,
     load_ddc_vectors,
 )
-from lodrec.embeddings import DocVector, EmbeddingTable, embed_video
+from lodrec.embeddings import EmbeddingTable, doc_vectors, video_tokens
 from lodrec.engine import DEFAULT_WEIGHTS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -153,26 +153,33 @@ def random_embedding_table(rng: random.Random, dim: int = 8,
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
+def embedded(records: list[VideoRecord], table: EmbeddingTable
+             ) -> dict[str, tuple[np.ndarray, int]]:
+    """Each record's ``(doc vector, tokens_used)`` from ``doc_vectors``."""
+    used, _, vectors = doc_vectors([video_tokens(r) for r in records], table)
+    return {r.id: (v, u) for r, v, u in zip(records, vectors, used.tolist())}
+
+
 @dataclass
 class Vectors:
-    """A test corpus as per-video ``DocVector`` and ``{dim: weight}``
-    fragment maps, in corpus order: the oracles read the maps, and
-    ``index()`` stacks them into the arrays ``CorpusIndex`` is built from.
-    A video absent from ``codes`` has no codes."""
+    """A test corpus as each video's ``(doc vector, tokens_used)`` and
+    ``{dim: weight}`` fragment map, in corpus order: the oracles read
+    them, and ``index()`` stacks them into the arrays ``CorpusIndex`` is
+    built from.  A video absent from ``codes`` has no codes."""
 
     ids: list[str]
-    docs: dict[str, DocVector]
+    docs: dict[str, tuple[np.ndarray, int]]
     codes: dict[str, dict[int, float]] = field(default_factory=dict)
     weights: tuple[float, float] = DEFAULT_WEIGHTS
 
     def index(self) -> CorpusIndex:
         rows = [sorted(self.codes[vid].items())
                 if vid in self.codes else [] for vid in self.ids]
-        text = (np.stack([self.docs[vid].vector for vid in self.ids])
+        text = (np.stack([self.docs[vid][0] for vid in self.ids])
                 if self.ids else np.empty((0, 0)))
         return CorpusIndex(
             self.ids, text,
-            np.array([self.docs[vid].tokens_used for vid in self.ids]),
+            np.array([self.docs[vid][1] for vid in self.ids]),
             np.cumsum([0] + [len(r) for r in rows]),
             np.array([d for r in rows for d, _ in r], dtype=np.intp),
             np.array([w for r in rows for _, w in r], dtype=np.float64),
@@ -210,7 +217,7 @@ def random_micro_corpus(rng: random.Random) -> Vectors:
         ))
 
     return Vectors(ids=[r.id for r in records],
-                   docs={r.id: embed_video(r, table) for r in records},
+                   docs=embedded(records, table),
                    codes=code_maps(make_enriched(video_codes)))
 
 
@@ -236,12 +243,9 @@ def hierarchy_corpus() -> Vectors:
         "wissenschaft": np.array([0.5, 0.1, -0.3, 0.2]),
         "video": np.array([0.1, 0.4, 0.2, -0.1]),
     })
-    docs = {}
-    for vid in video_codes:
-        record = VideoRecord(id=vid, language="de",
-                             title="Wissenschaft Video", abstract="",
-                             tags=())
-        docs[vid] = embed_video(record, table)
+    docs = embedded([VideoRecord(id=vid, language="de",
+                                 title="Wissenschaft Video", abstract="",
+                                 tags=()) for vid in video_codes], table)
     return Vectors(ids=sorted(video_codes), docs=docs, codes=codes)
 
 
@@ -309,15 +313,15 @@ def former_top_k(scores: np.ndarray, q: int, ids: list[str], id_rank,
             for c in top.tolist()]
 
 
-def former_save_doc_vectors(vectors: list[DocVector], path) -> None:
+def former_save_doc_vectors(ids: list[str], used, missed, vectors,
+                            path) -> None:
     """The doc-vector writer as it was first written: a Python generator
     that takes each component as a numpy scalar, makes it a ``float``
     and calls ``repr`` on it."""
     with open(path, "w", encoding="utf-8") as f:
-        for v in vectors:
-            cells = ",".join(repr(float(x)) for x in v.vector)
-            f.write(f"{v.video_id}\t{v.tokens_used}\t{v.tokens_missed}"
-                    f"\t{cells}\n")
+        for vid, u, m, vector in zip(ids, used, missed, vectors):
+            cells = ",".join(repr(float(x)) for x in vector)
+            f.write(f"{vid}\t{u}\t{m}\t{cells}\n")
 
 
 def _former_fragment_counts(video: EnrichedVideo, mode: str) -> dict:
@@ -385,8 +389,7 @@ def kernel_cosines(text=None, codes=None) -> tuple:
     sparse ``{dim: weight}`` maps of one vocabulary.  A route not given
     has no evidence."""
     text = text if text is not None else (np.zeros(1), np.zeros(1))
-    docs = {vid: DocVector(vid, np.asarray(v, dtype=float), 1, 0)
-            for vid, v in zip("ij", text)}
+    docs = {vid: (np.asarray(v, dtype=float), 1) for vid, v in zip("ij", text)}
     ddc = {vid: dict(w) for vid, w in zip("ij", codes or ())}
     s = combined_similarity(Vectors(["i", "j"], docs, ddc).index(), "i", "j")
     return s.s_text, s.s_ddc

@@ -31,9 +31,8 @@ from lodrec import (
     run_index,
     run_ingest,
 )
-from lodrec.corpus import VideoRecord
 from lodrec.ddc_vectors import fragment_rows
-from lodrec.embeddings import embed_video
+from lodrec.embeddings import doc_vectors
 from lodrec.pipeline import MANIFEST_FILE
 from lodrec.special import regularized_gamma_q
 
@@ -163,28 +162,19 @@ def test_acceptance_6_embedding_determinism(report):
         table = random_embedding_table(rng, dim=8, n_tokens=20)
         tokens = sorted(table.vectors)
 
-        single = embed_video(VideoRecord(id="s", language="de",
-                                         title=tokens[0], abstract="",
-                                         tags=()), table)
-        assert np.array_equal(single.vector, table.vectors[tokens[0]])
+        _, _, single = doc_vectors([[tokens[0]]], table)
+        assert np.array_equal(single[0], table.vectors[tokens[0]])
 
         for trial in range(50):
             words = rng.choices(tokens, k=rng.randint(2, 12))
             shuffled = words.copy()
             rng.shuffle(shuffled)
-            a = embed_video(VideoRecord(id="a", language="de",
-                                        title=" ".join(words), abstract="",
-                                        tags=()), table)
-            b = embed_video(VideoRecord(id="b", language="de",
-                                        title=" ".join(shuffled), abstract="",
-                                        tags=()), table)
-            assert np.array_equal(a.vector, b.vector), trial
+            used, _, (a, b, other) = doc_vectors(
+                [words, shuffled, rng.choices(tokens, k=5)], table)
+            assert np.array_equal(a, b), trial
 
-            other = embed_video(VideoRecord(
-                id="c", language="de",
-                title=" ".join(rng.choices(tokens, k=5)), abstract="",
-                tags=()), table)
-            pair = Vectors(["a", "c"], {"a": a, "c": other}).index()
+            pair = Vectors(["a", "c"], {"a": (a, used[0]),
+                                        "c": (other, used[2])}).index()
             s = combined_similarity(pair, "a", "c").s_text
             assert s is not None and abs(s) <= 1.0 + 1e-12
 

@@ -4,6 +4,8 @@ and the demos run against it."""
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -51,6 +53,18 @@ def test_all_is_what_callers_import():
     assert set(lodrec.__all__) == used | SIGNATURE_TYPES | ERRORS
     for name in lodrec.__all__:
         assert getattr(lodrec, name) is not None, name
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(lodrec.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_names_what_it_defines(name):
+    """A deleted name cannot stay exported, nor a name twice."""
+    module = importlib.import_module(f"lodrec.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), name
+    assert [n for n in exported if not hasattr(module, n)] == [], name
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -183,6 +183,21 @@ class TestIndex:
         assert json.loads(out)["vocabulary_size"] == 0
         assert "vocabulary is empty" in err
 
+    def test_corpus_with_no_videos(self, capsys, tmp_path):
+        # The one warning: with no videos, nothing falls back to text.
+        config = str(write_toy_config(tmp_path, language="xx"))
+        run_cli(capsys, "ingest", "--config", config)
+        code, out, err = run_cli(capsys, "index", "--config", config)
+        assert code == EXIT_OK
+        summary = json.loads(out)
+        assert (summary["videos"], summary["vocabulary_size"],
+                summary["degenerate_doc_vectors"]) == (0, 0, 0)
+        assert err == "warning: the corpus has no videos; the index is empty\n"
+        assert run_cli(capsys, "recommend", "--config", config, "v001") == (
+            EXIT_DATA, "", "error: index contains fewer than two videos\n")
+        assert run_cli(capsys, "matrix", "--config", config) == (
+            EXIT_OK, "\t\n", "")
+
 
 class TestRecommend:
     def test_json_shape_and_config_k(self, capsys, indexed_config):

@@ -20,7 +20,6 @@ from lodrec.ddc_vectors import (
     save_ddc_vectors,
     save_vocabulary,
 )
-from lodrec.embeddings import DocVector
 from lodrec.errors import LodrecError
 
 from conftest import (
@@ -143,7 +142,7 @@ class TestVectorize:
 
 def s_ddc(v_i, v_j):
     """The kernel's code-route cosine of two ``{dim: weight}`` rows."""
-    docs = {vid: DocVector(vid, np.zeros(1), 0, 0) for vid in "ij"}
+    docs = {vid: (np.zeros(1), 0) for vid in "ij"}
     index = Vectors(["i", "j"], docs, {"i": v_i, "j": v_j}).index()
     return combined_similarity(index, "i", "j").s_ddc
 

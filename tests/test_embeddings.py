@@ -9,19 +9,17 @@ import subprocess
 import sys
 import threading
 import unicodedata
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lodrec import ParseError, combined_similarity, embeddings, tokenize
 from lodrec.corpus import Tag, VideoRecord
 from lodrec.embeddings import (
-    DocVector,
     EmbeddingTable,
-    embed_video,
+    doc_vectors,
     load_doc_vectors,
     load_embeddings,
     load_stoplist,
@@ -521,84 +519,127 @@ class TestLimit:
         assert list(table.vectors) == ["cc"]
 
 
-class TestEmbedVideo:
+def embed(table, *videos, stopwords=None):
+    """``doc_vectors`` of the ``videos``' tokens: ``(used, missed,
+    vectors)``."""
+    return doc_vectors([video_tokens(v, stopwords) for v in videos], table)
+
+
+# Characters that try the field boundary: a combining acute accent and
+# the Hangul jamo, which NFC composes with a neighbouring character, "_"
+# and digits, which tokenize splits at or drops, and letters.
+_FIELD = st.text("ab_9 -e\u0301\u1100\u1161\u11a8\u00e9\u00df", max_size=8)
+
+
+class TestMeanVectors:
     def test_single_token_equals_table_vector(self):
         table = EmbeddingTable(dim=3, vectors={"sparql": np.array([1., 2., 3.])})
-        doc = embed_video(video(title="SPARQL"), table)
-        assert np.array_equal(doc.vector, table.vectors["sparql"])
-        assert doc.tokens_used == 1
-        assert doc.tokens_missed == 0
+        used, missed, vectors = embed(table, video(title="SPARQL"))
+        assert np.array_equal(vectors[0], table.vectors["sparql"])
+        assert (used.tolist(), missed.tolist()) == ([1], [0])
 
     def test_mean_of_two_tokens(self):
         table = EmbeddingTable(dim=2, vectors={"aa": np.array([1., 0.]),
                                                "bb": np.array([0., 1.])})
-        doc = embed_video(video(title="aa bb"), table)
-        assert np.array_equal(doc.vector, [0.5, 0.5])
+        _, _, vectors = embed(table, video(title="aa bb"))
+        assert np.array_equal(vectors[0], [0.5, 0.5])
 
     def test_misses_counted(self):
         table = EmbeddingTable(dim=2, vectors={
             "aa": np.array([1., 0.]), "bb": np.array([0., 1.]),
             "cc": np.array([1., 1.])})
-        doc = embed_video(video(title="aa bb", tags=("cc", "dd"),
-                                abstract="ee"), table)
-        assert doc.tokens_used == 3
-        assert doc.tokens_missed == 2
-        assert np.array_equal(doc.vector, np.array([2., 2.]) / 3)
+        used, missed, vectors = embed(table, video(
+            title="aa bb", tags=("cc", "dd"), abstract="ee"))
+        assert (used.tolist(), missed.tolist()) == ([3], [2])
+        assert np.array_equal(vectors[0], np.array([2., 2.]) / 3)
 
     def test_occurrences_not_types(self):
         table = EmbeddingTable(dim=2, vectors={"aa": np.array([1., 0.]),
                                                "bb": np.array([0., 1.])})
-        doc = embed_video(video(title="aa aa bb"), table)
-        assert np.array_equal(doc.vector, [2 / 3, 1 / 3])
+        _, _, vectors = embed(table, video(title="aa aa bb"))
+        assert np.array_equal(vectors[0], [2 / 3, 1 / 3])
 
     def test_all_fields_contribute(self):
         table = EmbeddingTable(dim=1, vectors={"aa": np.array([3.0]),
                                                "bb": np.array([6.0]),
                                                "cc": np.array([9.0])})
-        doc = embed_video(video(title="aa", tags=("bb",), abstract="cc"),
-                          table)
-        assert doc.vector[0] == pytest.approx(6.0)
+        _, _, vectors = embed(table, video(title="aa", tags=("bb",),
+                                           abstract="cc"))
+        assert vectors[0, 0] == pytest.approx(6.0)
 
-    def test_degenerate_when_nothing_found(self):
+    def test_zero_row_when_nothing_found(self):
         table = EmbeddingTable(dim=2, vectors={"aa": np.array([1., 0.])})
-        doc = embed_video(video(title="zz yy"), table)
-        assert doc.degenerate
-        assert np.array_equal(doc.vector, [0.0, 0.0])
-        assert doc.tokens_missed == 2
+        used, missed, vectors = embed(table, video(title="zz yy"))
+        assert (used.tolist(), missed.tolist()) == ([0], [2])
+        assert np.array_equal(vectors[0], [0.0, 0.0])
+
+    def test_arrays_and_their_shapes(self):
+        table = EmbeddingTable(dim=2, vectors={"aa": np.array([1., 0.])})
+        for n in (0, 3):
+            used, missed, vectors = embed(table, *[video("aa zz")] * n)
+            assert used.shape == missed.shape == (n,)
+            assert used.dtype == missed.dtype == np.int64
+            assert vectors.shape == (n, 2) and vectors.dtype == np.float64
+
+    def test_each_row_as_if_embedded_alone(self):
+        rng = random.Random(37)
+        table = random_embedding_table(rng, dim=6, n_tokens=12)
+        tokens = [rng.choices([*table.vectors, "zz", "yy"],
+                              k=rng.randint(0, 9)) for _ in range(20)]
+        used, missed, vectors = doc_vectors(tokens, table)
+        for r, toks in enumerate(tokens):
+            alone = doc_vectors([toks], table)
+            assert (used[r], missed[r]) == (alone[0][0], alone[1][0])
+            assert np.array_equal(vectors[r].view(np.int64),
+                                  alone[2][0].view(np.int64))
 
     def test_word_order_permutation_is_bit_exact(self):
         rng = random.Random(41)
         for _ in range(50):
             table = random_embedding_table(rng, dim=6, n_tokens=12)
             words = rng.choices(list(table.vectors), k=rng.randint(2, 10))
-            reference = embed_video(video(title=" ".join(words)), table)
             shuffled = words[:]
             rng.shuffle(shuffled)
-            permuted = embed_video(video(title=" ".join(shuffled)), table)
-            assert np.array_equal(permuted.vector, reference.vector)
+            _, _, (reference, permuted) = embed(
+                table, video(title=" ".join(words)),
+                video(title=" ".join(shuffled)))
+            assert np.array_equal(permuted, reference)
 
     def test_tag_permutation_is_bit_exact(self):
         rng = random.Random(43)
         table = random_embedding_table(rng, dim=4, n_tokens=10)
         tags = tuple(rng.choices(list(table.vectors), k=6))
-        reference = embed_video(video(tags=tags), table)
-        permuted = embed_video(video(tags=tags[::-1]), table)
-        assert np.array_equal(permuted.vector, reference.vector)
+        _, _, (reference, permuted) = embed(table, video(tags=tags),
+                                            video(tags=tags[::-1]))
+        assert np.array_equal(permuted, reference)
 
     def test_stopwords_excluded(self):
         table = EmbeddingTable(dim=2, vectors={"aa": np.array([1., 0.]),
                                                "und": np.array([9., 9.])})
-        doc = embed_video(video(title="aa und"), table, stopwords={"und"})
-        assert np.array_equal(doc.vector, [1.0, 0.0])
-        assert doc.tokens_used == 1
+        used, _, vectors = embed(table, video(title="aa und"),
+                                 stopwords={"und"})
+        assert np.array_equal(vectors[0], [1.0, 0.0])
+        assert used.tolist() == [1]
 
     def test_video_tokens_are_the_lookups(self):
         v = video(title="Daten und Netze", tags=("RDF",), abstract="daten")
         assert video_tokens(v, {"und"}) == ["daten", "netze", "rdf", "daten"]
         table = EmbeddingTable(dim=1, vectors={"daten": np.array([2.0]),
                                                "rdf": np.array([5.0])})
-        doc = embed_video(v, table, stopwords={"und"})
-        assert (doc.tokens_used, doc.tokens_missed) == (3, 1)
+        used, missed, _ = embed(table, v, stopwords={"und"})
+        assert (used.tolist(), missed.tolist()) == ([3], [1])
+
+    @settings(max_examples=300, deadline=None)
+    @example(title="ab\u1100", tags=["\u1161b"], abstract="")
+    @example(title="ae", tags=["", "\u0301ab"], abstract="12_ab")
+    @given(title=_FIELD, tags=st.lists(_FIELD, max_size=3), abstract=_FIELD)
+    def test_one_call_tokenizes_as_one_per_field(self, title, tags,
+                                                 abstract):
+        # Joined with no separator, the first example's jamo would
+        # compose into one token across the title and the tag.
+        per_field = [tok for text in (title, *tags, abstract)
+                     for tok in tokenize(text)]
+        assert video_tokens(video(title, tags, abstract)) == per_field
 
     def test_stoplist_loader(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -606,9 +647,8 @@ class TestEmbedVideo:
         assert load_stoplist(path) == {"und", "der"}
 
 
-def s_text(a: DocVector, b: DocVector):
-    """The kernel's text-route cosine of two doc vectors."""
-    a, b = replace(a, video_id="a"), replace(b, video_id="b")
+def s_text(a, b):
+    """The kernel's text-route cosine of two ``(vector, tokens_used)``."""
     index = Vectors(["a", "b"], {"a": a, "b": b}).index()
     return combined_similarity(index, "a", "b").s_text
 
@@ -616,27 +656,28 @@ def s_text(a: DocVector, b: DocVector):
 class TestTextSimilarity:
     def test_self_similarity(self):
         table = EmbeddingTable(dim=3, vectors={"aa": np.array([1., 2., 3.])})
-        doc = embed_video(video(title="aa"), table)
+        used, _, vectors = embed(table, video(title="aa"))
+        doc = (vectors[0], used[0])
         assert s_text(doc, doc) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_cosine(self):
-        a = DocVector("a", np.array([1., 2., 3.]), 1, 0)
-        b = DocVector("b", np.array([4., 5., 6.]), 1, 0)
+        a = (np.array([1., 2., 3.]), 1)
+        b = (np.array([4., 5., 6.]), 1)
         assert s_text(a, b) == pytest.approx(0.9746318461970762, abs=1e-9)
 
-    def test_degenerate_is_undefined(self):
-        good = DocVector("a", np.array([1., 0.]), 1, 0)
-        bad = DocVector("b", np.zeros(2), 0, 3)
+    def test_no_token_found_is_undefined(self):
+        good = (np.array([1., 0.]), 1)
+        bad = (np.zeros(2), 0)
         assert s_text(good, bad) is None
         assert s_text(bad, bad) is None
 
     def test_symmetry_and_bounds_on_random_pairs(self):
         rng = random.Random(47)
         table = random_embedding_table(rng, dim=8, n_tokens=20)
-        docs = []
-        for _ in range(12):
-            words = rng.choices(list(table.vectors), k=rng.randint(1, 8))
-            docs.append(embed_video(video(title=" ".join(words)), table))
+        used, _, vectors = doc_vectors(
+            [rng.choices(list(table.vectors), k=rng.randint(1, 8))
+             for _ in range(12)], table)
+        docs = list(zip(vectors, used))
         for a in docs:
             for b in docs:
                 s = s_text(a, b)
@@ -644,19 +685,19 @@ class TestTextSimilarity:
                 assert abs(s) <= 1 + 1e-12
 
 
-class TestDocVectorCache:
+class TestVectorCache:
     def test_round_trip_exact(self, tmp_path):
         rng = random.Random(53)
         table = random_embedding_table(rng, dim=5, n_tokens=10)
-        docs = [embed_video(video(title=" ".join(
-            rng.choices(list(table.vectors), k=3))), table)
-            for _ in range(4)]
-        data = b"".join(save_doc_vectors(docs))
-        ids, tokens_used, vectors = load_doc_vectors(tmp_path / "docs.tsv",
+        used, missed, vectors = doc_vectors(
+            [rng.choices(list(table.vectors), k=3) for _ in range(4)], table)
+        ids = [f"v{r}" for r in range(4)]
+        data = b"".join(save_doc_vectors(ids, used, missed, vectors))
+        got_ids, tokens_used, got = load_doc_vectors(tmp_path / "docs.tsv",
                                                      data)
-        assert ids == [d.video_id for d in docs]
-        assert tokens_used.tolist() == [d.tokens_used for d in docs]
-        assert np.array_equal(vectors, np.stack([d.vector for d in docs]))
+        assert got_ids == ids
+        assert np.array_equal(tokens_used, used)
+        assert np.array_equal(got, vectors)
 
     def test_malformed_row_names_line(self, tmp_path):
         out = tmp_path / "docs.tsv"
@@ -671,11 +712,11 @@ class TestDocVectorCache:
         values = bits.view(np.float64)  # every sign, exponent and mantissa
         values[~np.isfinite(values)] = 1.0
         values[0, :4] = [5e-324, -0.0, 1.7976931348623157e308, 0.1]
-        docs = [DocVector(f"v{r}", row.copy(), 1, 0)
-                for r, row in enumerate(values)]
-        data = b"".join(save_doc_vectors(docs))
-        ids, _, got = load_doc_vectors(tmp_path / "docs.tsv", data)
-        assert ids == [d.video_id for d in docs]
+        ids = [f"v{r}" for r in range(len(values))]
+        ones = np.ones(len(values), dtype=np.int64)
+        data = b"".join(save_doc_vectors(ids, ones, ones - 1, values))
+        got_ids, _, got = load_doc_vectors(tmp_path / "docs.tsv", data)
+        assert got_ids == ids
         assert np.array_equal(got.view(np.int64), values.view(np.int64))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -684,13 +725,15 @@ class TestDocVectorCache:
         rng = np.random.default_rng(61)
         values = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 0.0, -1e-300,
                   123456789.0, 1e15 + 0.5, np.finfo(dtype).max]
-        docs = [DocVector("edge", np.array(values, dtype=dtype), 2, 1),
-                DocVector("random", rng.normal(size=7).astype(dtype), 1, 0),
-                DocVector("wide", rng.normal(scale=1e-9, size=300)
-                          .astype(dtype), 3, 4)]
-        ours = b"".join(save_doc_vectors(docs))
+        vectors = np.stack([
+            np.concatenate([values, rng.normal(size=290)]),
+            rng.normal(size=300),
+            rng.normal(scale=1e-9, size=300)]).astype(dtype)
+        ids = ["edge", "random", "wide"]
+        used, missed = np.array([2, 1, 3]), np.array([1, 0, 4])
+        ours = b"".join(save_doc_vectors(ids, used, missed, vectors))
         former = tmp_path / "former.tsv"
-        former_save_doc_vectors(docs, former)
+        former_save_doc_vectors(ids, used, missed, vectors, former)
         assert ours == former.read_bytes()
         if dtype is np.float64:
             assert ours.decode().startswith(

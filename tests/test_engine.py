@@ -28,7 +28,6 @@ from lodrec import (
     recommend,
     write_matrix_tsv,
 )
-from lodrec.embeddings import DocVector
 from lodrec.engine import _score_row, matrix_blocks
 
 from conftest import (
@@ -66,8 +65,8 @@ def matrix_tsv(index: CorpusIndex, method: str = WITH_LOD) -> str:
 
 
 def two_doc_vectors(a, b):
-    return {"i": DocVector("i", np.asarray(a, dtype=float), 1, 0),
-            "j": DocVector("j", np.asarray(b, dtype=float), 1, 0)}
+    return {"i": (np.asarray(a, dtype=float), 1),
+            "j": (np.asarray(b, dtype=float), 1)}
 
 
 def pair_similarity(docs, codes=None, weights=engine.DEFAULT_WEIGHTS,
@@ -97,16 +96,14 @@ class TestCombinedSimilarity:
         assert s.fallback_applied
 
     def test_fallback_to_fragment_branch(self):
-        docs = {"i": DocVector("i", np.zeros(2), 0, 1),
-                "j": DocVector("j", np.array([1.0, 0.0]), 1, 0)}
+        docs = {"i": (np.zeros(2), 0), "j": (np.array([1.0, 0.0]), 1)}
         s = pair_similarity(docs, {"i": {0: 1.0}, "j": {0: 2.0}})
         assert s.s_text is None
         assert s.s_lod == s.s_ddc == pytest.approx(1.0, abs=1e-12)
         assert s.fallback_applied
 
     def test_both_undefined(self):
-        docs = {"i": DocVector("i", np.zeros(2), 0, 1),
-                "j": DocVector("j", np.zeros(2), 0, 1)}
+        docs = {"i": (np.zeros(2), 0), "j": (np.zeros(2), 0)}
         s = pair_similarity(docs)
         assert s.s_lod is None
         assert not s.fallback_applied
@@ -174,9 +171,10 @@ class TestKernel:
             for i in index.ids:
                 for j in index.ids:
                     s = combined_similarity(index, i, j)
-                    d_i, d_j = corpus.docs[i], corpus.docs[j]
-                    text_ref = (None if d_i.degenerate or d_j.degenerate
-                                else dense_cosine(d_i.vector, d_j.vector))
+                    (v_i, used_i), (v_j, used_j) = (corpus.docs[i],
+                                                    corpus.docs[j])
+                    text_ref = (None if used_i == 0 or used_j == 0
+                                else dense_cosine(v_i, v_j))
                     for got, ref in (
                             (s.s_text, text_ref),
                             (s.s_ddc, sparse_cosine(
@@ -195,8 +193,7 @@ class TestKernel:
         # OpenBLAS splits a ddot longer than 10,000 across its threads.
         assert engine.MAX_TEXT_DIM == 10_000
         rng = np.random.default_rng(71)
-        docs = {vid: DocVector(vid, rng.normal(size=dim), 1, 0)
-                for vid in ("a", "b")}
+        docs = {vid: (rng.normal(size=dim), 1) for vid in ("a", "b")}
         if dim <= engine.MAX_TEXT_DIM:
             index = Vectors(["a", "b"], docs).index()
             s = combined_similarity(index, "a", "b")
@@ -234,18 +231,17 @@ class TestKernel:
     def test_index_rejects_non_finite_vectors(self):
         base = hierarchy_corpus()
         docs = dict(base.docs)
-        docs["a2"] = DocVector("a2", np.array([1.0, np.nan, 0.0, 0.0]), 1, 0)
+        docs["a2"] = (np.array([1.0, np.nan, 0.0, 0.0]), 1)
         with pytest.raises(ValueError, match="non-finite"):
             replace(base, docs=docs).index()
 
 
 def _with_ghost(corpus: Vectors) -> Vectors:
     """``corpus`` plus a video with neither text nor fragment evidence."""
-    dim = next(iter(corpus.docs.values())).vector.shape[0]
+    dim = next(iter(corpus.docs.values()))[0].shape[0]
     return replace(
         corpus, ids=corpus.ids + ["ghost"],
-        docs={**corpus.docs,
-              "ghost": DocVector("ghost", np.zeros(dim), 0, 2)},
+        docs={**corpus.docs, "ghost": (np.zeros(dim), 0)},
         codes={**corpus.codes, "ghost": {}})
 
 
@@ -424,7 +420,7 @@ def _with_reuploads(corpus: Vectors, vids: list[str],
     for vid in vids:
         for copy in (f"a_{vid}", f"{vid}_re"):
             ids.insert(rng.randint(0, len(ids)), copy)
-            docs[copy] = replace(docs[vid], video_id=copy)
+            docs[copy] = docs[vid]
             if vid in codes:
                 codes[copy] = codes[vid]
     return replace(corpus, ids=ids, docs=docs, codes=codes)
@@ -446,8 +442,7 @@ class TestSelection:
             min_size=n, max_size=n)))
         ids = data.draw(st.permutations([f"v{i:02d}" for i in range(n)]))
         q = data.draw(st.integers(0, n - 1))
-        index = Vectors(ids, {vid: DocVector(vid, np.ones(1), 1, 0)
-                              for vid in ids}).index()
+        index = Vectors(ids, {vid: (np.ones(1), 1) for vid in ids}).index()
         with mock.patch.object(engine, "_method_scores",
                                lambda *_: scores.copy()):
             for method in METHODS:
@@ -690,7 +685,7 @@ def _random_text_corpus(rng: np.random.Generator, n: int = 160,
         vid = f"d{r:03d}"
         kind = rng.random()
         vector = np.zeros(dim) if kind < 0.05 else rng.normal(size=dim)
-        docs[vid] = DocVector(vid, vector, 0 if kind > 0.95 else 1, 0)
+        docs[vid] = (vector, 0 if kind > 0.95 else 1)
     return Vectors(list(docs), docs)
 
 
@@ -753,8 +748,7 @@ class TestTextRoute:
 
 
 def _one_video_index() -> CorpusIndex:
-    return Vectors(["solo"], {
-        "solo": DocVector("solo", np.array([0.3, -0.4]), 1, 0)}).index()
+    return Vectors(["solo"], {"solo": (np.array([0.3, -0.4]), 1)}).index()
 
 
 def _three_block_index() -> CorpusIndex:
@@ -779,8 +773,8 @@ def _one_route_blocks_index() -> CorpusIndex:
     rng = np.random.default_rng(151)
     corpus = _random_text_corpus(rng, n=150, dim=7)
     rows = engine.MATRIX_BLOCK_ROWS
-    docs = {vid: replace(doc, tokens_used=0) if rows <= r < 2 * rows
-            else doc for r, (vid, doc) in enumerate(corpus.docs.items())}
+    docs = {vid: (vector, 0) if rows <= r < 2 * rows else (vector, used)
+            for r, (vid, (vector, used)) in enumerate(corpus.docs.items())}
     codes = {vid: {int(d): float(rng.random())
                    for d in rng.choice(12, 3)}
              for vid in corpus.ids[rows:] if rng.random() < 0.8}
