@@ -20,11 +20,15 @@ that the index derives once, at construction, and holds in place of
 the vectors it was given:
 
 - the doc vectors as an L2-normalised N x D array, with a mask of the
-  rows that are defined (tokens found, non-zero norm) and the list of
-  those that are not;
+  rows that are defined (tokens found, non-zero norm); a row that is
+  not holds NaN, so its text cosine with any row comes out NaN;
 - the fragment vectors L2-normalised, both as CSR rows and as postings
   (per dimension, the rows that carry it, ascending), with a mask of
   the videos that have codes and the list of those that have none;
+- per CSR entry, its dimension's posting count ``row_df``, and the
+  offset ``take_ptr`` of those postings in a gather of all entries' and
+  their start in the postings less it, ``take_shift``: ``_gather`` takes
+  a row's or a block's postings with one ``np.repeat`` and one ``arange``;
 - the rank of each id in sorted order, for tie-breaks.
 
 Each cell depends only on its two vectors.  The text cosine is
@@ -193,11 +197,11 @@ class CorpusIndex:
             raise ValueError("non-finite value in a document vector")
         norms = np.sqrt((unit_text * unit_text).sum(axis=1))
         has_text = (np.asarray(tokens_used) > 0) & (norms > 0)
-        unit_text[~has_text] = 0.0
+        # A row without text is NaN, so each ddot with it is NaN.
+        unit_text[~has_text] = np.nan
         np.divide(unit_text, norms[:, None], out=unit_text,
                   where=has_text[:, None])
         self.unit_text, self.has_text = unit_text, has_text
-        self.no_text = np.flatnonzero(~has_text)
 
         row = np.repeat(np.arange(n), np.diff(code_ptr))
         dim = np.asarray(code_dims, dtype=np.intp)
@@ -223,6 +227,11 @@ class CorpusIndex:
         order = np.lexsort((row, dim))
         self.dim_ptr = _offsets(dim, int(dim.max()) + 1 if len(dim) else 0)
         self.post_row, self.post_weight = row[order], weight[order]
+        # Per CSR entry, where its dimension's postings go in a gather
+        # (see the module docstring and ``_gather``).
+        self.row_df = np.diff(self.dim_ptr)[dim]
+        self.take_ptr = np.concatenate(([0], np.cumsum(self.row_df)))
+        self.take_shift = self.dim_ptr[dim] - self.take_ptr[:-1]
 
         self._top: dict[tuple[int, str], list[tuple[str, float | None]]] = {}
         self._repeated = False  # the memo has answered a call
@@ -275,29 +284,30 @@ def _score_row(index: CorpusIndex, q: int, method: str = WITH_LOD):
     n = len(index.has_text)
     if index.has_text[q]:
         s_text = np.vecdot(index.unit_text, index.unit_text[q])
-        s_text[index.no_text] = np.nan
     else:
         s_text = np.full(n, np.nan)
     if method == WITHOUT_LOD:
         return s_text, None, None
 
     if index.has_codes[q]:
-        lo, hi = index.row_ptr[q], index.row_ptr[q + 1]
-        q_dims, q_weights = index.row_dim[lo:hi], index.row_weight[lo:hi]
-        starts = index.dim_ptr[q_dims]
-        counts = index.dim_ptr[q_dims + 1] - starts
-        # Positions of all postings of the query's dimensions, dimension
-        # by dimension; bincount adds them to each row in that order.
-        take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
-                + np.arange(counts.sum()))
-        s_ddc = np.bincount(index.post_row[take],
-                            weights=index.post_weight[take]
-                            * np.repeat(q_weights, counts), minlength=n)
+        # bincount adds the terms to each row dimension by dimension.
+        rows, terms = _gather(index, index.row_ptr[q], index.row_ptr[q + 1])
+        s_ddc = np.bincount(rows, weights=terms, minlength=n)
         s_ddc[index.no_codes] = np.nan
     else:
         s_ddc = np.full(n, np.nan)
 
     return s_text, s_ddc, _combine(index.weights, s_text, s_ddc)
+
+
+def _gather(index: CorpusIndex, lo: int, hi: int) -> tuple:
+    """The code-route terms of CSR entries ``lo`` .. ``hi - 1``: for each
+    posting of each entry's dimension, entry by entry, its row and the
+    product of the two weights."""
+    take = (np.repeat(index.take_shift[lo:hi], index.row_df[lo:hi])
+            + np.arange(index.take_ptr[lo], index.take_ptr[hi]))
+    return index.post_row[take], index.post_weight[take] * np.repeat(
+        index.row_weight[lo:hi], index.row_df[lo:hi])
 
 
 def _combine(weights: tuple[float, float], s_text: np.ndarray,
@@ -377,7 +387,8 @@ def _top_k(index: CorpusIndex, q: int, k: int, method: str
     kth = np.partition(key, k - 1)[k - 1]
     top = np.flatnonzero(key <= kth)
     top = top[np.lexsort((index.id_rank[top], key[top]))][:k]
-    return [(index.ids[c], _value(scores[c])) for c in top.tolist()]
+    return [(index.ids[c], None if math.isnan(s) else s)
+            for c, s in zip(top.tolist(), scores[top].tolist())]
 
 
 def _score_block(index: CorpusIndex, start: int, stop: int, method: str
@@ -393,39 +404,26 @@ def _score_block(index: CorpusIndex, start: int, stop: int, method: str
             np.vecdot(unit[start:], unit[r], out=s_text[i])
         else:
             s_text[i] = np.nan
-    s_text[:, _from(index.no_text, start)] = np.nan
     if method == WITHOUT_LOD:
         return s_text
 
-    # All postings of the block's query dimensions, row by row and
-    # dimension by dimension, keyed by their cell, less those left of the
-    # block's first column; bincount adds them to each cell in ascending
+    # The terms of the block's rows, row by row and dimension by
+    # dimension, keyed by their cell, less those left of the block's
+    # first column; bincount adds them to each cell in ascending
     # dimension order.
-    lo, hi = index.row_ptr[start], index.row_ptr[stop]
-    q_dims = index.row_dim[lo:hi]
-    starts = index.dim_ptr[q_dims]
-    counts = index.dim_ptr[q_dims + 1] - starts
-    take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
-            + np.arange(counts.sum()))
-    column = index.post_row[take] - start
-    q_rows = np.repeat(np.arange(stop - start),
-                       np.diff(index.row_ptr[start:stop + 1]))
-    cell = np.repeat(q_rows, counts) * s_text.shape[1] + column
-    weight = index.post_weight[take] * np.repeat(index.row_weight[lo:hi],
-                                                 counts)
+    rows, terms = _gather(index, index.row_ptr[start], index.row_ptr[stop])
+    column = rows - start
+    q_rows = np.repeat(np.arange(stop - start), np.diff(
+        index.take_ptr[index.row_ptr[start:stop + 1]]))
+    cell = q_rows * s_text.shape[1] + column
     kept = column >= 0
     # Without keys bincount returns int64 zeros, which NaN cannot mark.
-    s_ddc = np.bincount(cell[kept], weights=weight[kept],
+    s_ddc = np.bincount(cell[kept], weights=terms[kept],
                         minlength=s_text.size
                         ).astype(np.float64, copy=False).reshape(s_text.shape)
     s_ddc[~index.has_codes[start:stop]] = np.nan
-    s_ddc[:, _from(index.no_codes, start)] = np.nan
+    s_ddc[:, ~index.has_codes[start:]] = np.nan
     return _combine(index.weights, s_text, s_ddc)
-
-
-def _from(rows: np.ndarray, start: int) -> np.ndarray:
-    """The ascending ``rows`` at or after ``start``, less ``start``."""
-    return rows[np.searchsorted(rows, start):] - start
 
 
 def matrix_blocks(index: CorpusIndex, method: str = WITH_LOD):
@@ -440,25 +438,26 @@ def matrix_blocks(index: CorpusIndex, method: str = WITH_LOD):
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    n = len(index.ids)
-    for start in range(0, n, MATRIX_BLOCK_ROWS):
-        yield _score_block(index, start, min(start + MATRIX_BLOCK_ROWS, n),
-                           method)
+    n, rows = len(index.ids), MATRIX_BLOCK_ROWS
+    return (_score_block(index, start, min(start + rows, n), method)
+            for start in range(0, n, rows))
 
 
 def write_matrix_tsv(index: CorpusIndex, out, method: str = WITH_LOD) -> None:
     """Write the matrix to ``out`` as TSV, one block at a time: an id
     header row and column, each cell its float ``repr``, undefined cells
     empty.  Each unordered pair is formatted once (see the module
-    docstring)."""
+    docstring).  An unknown ``method`` is refused before anything is
+    written."""
     ids = index.ids
+    blocks = matrix_blocks(index, method)
     out.write("\t" + "\t".join(ids) + "\n")
     # left[r]: row r's text at the columns left of column r, one
     # tab-joined string per block that holds them; dropped once row r is
     # written.
     left: list[list[str] | None] = [[] for _ in ids]
     start = 0
-    for block in matrix_blocks(index, method):
+    for block in blocks:
         width = len(block)
         # Row start + i formats its cells from column start + i on; an
         # undefined cell's ``nan`` is emptied before its text is kept.

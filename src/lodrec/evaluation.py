@@ -79,6 +79,8 @@ def load_ratings(path) -> list[RatingRecord]:
                 f"got {','.join(reader.fieldnames)}")
         for row in reader:
             line_no = reader.line_num
+            if None in row:  # DictReader files extra fields under None
+                raise ParseError(path, line_no, "more fields than the header")
             if any(row.get(k) in (None, "") for k in _CSV_FIELDS):
                 raise ParseError(path, line_no, "incomplete row")
             method = row["method"]

@@ -28,7 +28,7 @@ from lodrec import (
     recommend,
     write_matrix_tsv,
 )
-from lodrec.engine import _score_row, matrix_blocks
+from lodrec.engine import _gather, _score_row, matrix_blocks
 
 from conftest import (
     Vectors,
@@ -228,6 +228,42 @@ class TestKernel:
             assert index.unit_text.ctypes.data % 64 == 0
             assert index.unit_text.flags.c_contiguous
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gather_matches_its_former_formula(self, data):
+        """``_gather`` gives, for any range of whole rows, the bits of the
+        terms that the kernel first gathered through positions computed
+        from the postings' offsets at each query."""
+
+        def former_gather(index, lo, hi):
+            q_dims = index.row_dim[lo:hi]
+            starts = index.dim_ptr[q_dims]
+            counts = index.dim_ptr[q_dims + 1] - starts
+            take = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+                    + np.arange(counts.sum()))
+            return index.post_row[take], index.post_weight[take] * np.repeat(
+                index.row_weight[lo:hi], counts)
+
+        n = data.draw(st.integers(1, 12))
+        n_dims = data.draw(st.integers(0, 6))
+        rows = [data.draw(st.dictionaries(
+            st.integers(0, n_dims - 1), st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+            max_size=n_dims)) if n_dims else {} for _ in range(n)]
+        index = CorpusIndex(
+            [f"v{r}" for r in range(n)], np.ones((n, 1)), np.ones(n),
+            np.concatenate(([0], np.cumsum([len(row) for row in rows]))),
+            np.array([d for row in rows for d in sorted(row)], dtype=np.intp),
+            np.array([row[d] for row in rows for d in sorted(row)],
+                     dtype=np.float64))
+        # One row, the first and the last among them, any block of rows,
+        # and the whole index.
+        for start in range(n + 1):
+            for stop in range(start, n + 1):
+                lo, hi = index.row_ptr[start], index.row_ptr[stop]
+                for new, old in zip(_gather(index, lo, hi),
+                                    former_gather(index, lo, hi)):
+                    assert np.array_equal(_bits(new), _bits(old))
+
     def test_index_rejects_non_finite_vectors(self):
         base = hierarchy_corpus()
         docs = dict(base.docs)
@@ -308,6 +344,48 @@ class TestRecommend:
         obj = rec.to_json_obj()
         assert set(obj) == {"query", "method", "k", "results"}
         assert all(set(r) == {"id", "score"} for r in obj["results"])
+
+    def test_a_miss_scores_its_row_once(self, monkeypatch):
+        """A ``with_lod`` miss makes one text product if its query has
+        text and none if not, and one code sum over the postings of the
+        query's dimensions if it has codes and none if not."""
+        index = _three_block_index()
+        n = len(index)
+        dims = [_dims(index, r) for r in range(n)]
+        df = {d: sum(d in row for row in dims) for d in set().union(*dims)}
+        text_cells, code_terms = _count_kernel_calls(monkeypatch)
+        for q, query in enumerate(index.ids):
+            text_cells.clear()
+            code_terms.clear()
+            recommend(query, index, 10, WITH_LOD)
+            assert text_cells == ([n] if index.has_text[q] else [])
+            assert code_terms == ([(sum(df[d] for d in dims[q]), n)]
+                                  if index.has_codes[q] else [])
+
+
+def _count_kernel_calls(monkeypatch) -> tuple[list, list]:
+    """Patch ``np.vecdot`` and ``np.bincount`` to record, per call, the
+    rows of the text product and the (terms, minlength) of the code
+    sum, in two lists that the caller reads."""
+    vecdot, bincount = np.vecdot, np.bincount
+    text_cells, code_terms = [], []
+
+    def counting_vecdot(a, b, **kwargs):
+        text_cells.append(len(a))
+        return vecdot(a, b, **kwargs)
+
+    def counting_bincount(x, weights=None, minlength=0):
+        code_terms.append((len(x), minlength))
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "vecdot", counting_vecdot)
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    return text_cells, code_terms
+
+
+def _dims(index: CorpusIndex, r: int) -> set[int]:
+    """Row ``r``'s fragment dimensions."""
+    return set(index.row_dim[index.row_ptr[r]:index.row_ptr[r + 1]].tolist())
 
 
 class TestHierarchySensitivity:
@@ -836,26 +914,10 @@ class TestStreamedMatrix:
     def test_no_cell_left_of_a_block_is_scored(self, monkeypatch):
         index = _three_block_index()
         n, rows = len(index), engine.MATRIX_BLOCK_ROWS
-        vecdot, bincount = np.vecdot, np.bincount
-        text_cells, code_terms = [], []
-
-        def counting_vecdot(a, b, **kwargs):
-            text_cells.append(len(a))
-            return vecdot(a, b, **kwargs)
-
-        def counting_bincount(x, weights=None, minlength=0):
-            code_terms.append((len(x), minlength))
-            return bincount(x, weights, minlength)
-
-        monkeypatch.setattr(np, "vecdot", counting_vecdot)
-        monkeypatch.setattr(np, "bincount", counting_bincount)
+        text_cells, code_terms = _count_kernel_calls(monkeypatch)
         blocks = list(matrix_blocks(index, WITH_LOD))
         monkeypatch.undo()
-
-        def dims(r):
-            return set(index.row_dim[index.row_ptr[r]:index.row_ptr[r + 1]]
-                       .tolist())
-
+        dims = [_dims(index, r) for r in range(n)]
         starts = range(0, n, rows)
         assert [b.shape for b in blocks] == [
             (min(rows, n - s), n - s) for s in starts]
@@ -864,9 +926,18 @@ class TestStreamedMatrix:
                               if index.has_text[r]]
         # ...and one code product per shared dimension of such a cell.
         assert code_terms == [
-            (sum(len(dims(r) & dims(c)) for r in range(s, min(s + rows, n))
+            (sum(len(dims[r] & dims[c]) for r in range(s, min(s + rows, n))
                  for c in range(s, n)), min(rows, n - s) * (n - s))
             for s in starts]
+
+    def test_unknown_method_is_refused_before_anything_is_written(self):
+        index = _three_block_index()
+        with pytest.raises(ValueError, match="unknown method"):
+            matrix_blocks(index, "bogus")
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="unknown method"):
+            write_matrix_tsv(index, out, "bogus")
+        assert out.getvalue() == ""
 
     def test_three_block_index_has_what_it_is_built_to_have(self):
         index = _three_block_index()

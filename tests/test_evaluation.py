@@ -76,6 +76,7 @@ class TestLoadRatings:
         ("p1,q1,v1,with_lod,good", "non-integer"),
         ("p1,q1,v1,lod,3", "unknown method"),
         ("p1,q1,v1,with_lod,", "incomplete"),
+        ("p1,q1,r1,with_lod,3,oops", "more fields than the header"),
     ])
     def test_bad_rows_carry_line_numbers(self, tmp_path, bad_row, message):
         path = tmp_path / "r.csv"
